@@ -154,10 +154,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--meta", action="store_true", help="add a timestamp block to the output")
 
 
-def _internal_nodes(c: Circuit) -> list[str]:
-    return c.internal_nodes()
-
-
 def _cmd_analyze(args) -> str:
     c = _load_circuit(args)
     f = _load_characteristic(args, c)
@@ -305,7 +301,7 @@ def _cmd_sweep(args) -> str:
 
     f = _load_characteristic(args, c)
     grid = _parse_grid(args.vgrid)
-    internal = _internal_nodes(c)
+    internal = c.internal_nodes()
     header = ["v_in", "F", "G", "eta", "eta_nonlinear", "nonlinearity_degree", "bound"]
     header += [f"d_{n}" for n in internal]
     rows = []

@@ -9,7 +9,9 @@ and an input coefficient phi_meshes with
 for the power-law case.  The two formulations convert into each other by
 alpha -> 1/alpha, D -> D**-alpha, phi -> phi(1/alpha)**-alpha, which
 generalizes r_in = 1/g_in beyond the linear case.  Large exponents now
-produce current (not voltage) hardlimiters.
+produce current (not voltage) hardlimiters.  The loop equations are the
+nodal solver's network equation A^T w f(A x + s i_in) = 0 (network.py)
+with A = diag(1/w) L for the loop matrix L and s = source / w.
 
 Loop bases are explicit inputs: the built-in fig_b1 carries the two-mesh
 basis plus the source loop; netlists can supply ``.mesh`` sections.
@@ -22,10 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._newton import EPS, NOISE_MULT, REL_TOL, damped_newton, max_iterations
+from ._newton import damped_newton, max_iterations
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh
-from .solver import SolverError, _currents, _floor_slopes, _integral, _slopes
+from .network import Network
+from .solver import SolverError
 
 __all__ = [
     "MeshSolution",
@@ -45,7 +48,11 @@ class MeshSolution:
     iterations: int
 
 
-def _loop_matrix(c: Circuit, basis: Sequence[Mesh]):
+def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]]:
+    """KVL network A = diag(1/w) L, s = source / w of a loop basis.
+
+    Returns the network and the names of its unknown loops, in order.
+    """
     names = [m.name for m in basis]
     if "source" not in names:
         raise ValueError("mesh basis must include the loop named 'source'")
@@ -54,29 +61,34 @@ def _loop_matrix(c: Circuit, basis: Sequence[Mesh]):
 
     n_br = len(c.branches)
     unknowns = [m for m in basis if m.name != "source"]
-    src = np.zeros(n_br)
-    L = np.zeros((n_br, len(unknowns)))
-    membership = np.zeros(n_br, dtype=int)
-
-    def fill(column, mesh: Mesh):
+    n = len(unknowns)
+    # the source loop takes column n, just past the unknowns
+    loops = unknowns + [m for m in basis if m.name == "source"]
+    rows, cols, signs = [], [], []
+    for column, mesh in enumerate(loops):
         for signed in mesh.branches:
             idx = abs(signed) - 1
             if not (0 <= idx < n_br):
                 raise ValueError(
                     f"mesh {mesh.name!r} references branch {abs(signed)} "
                     f"but the circuit has {n_br}")
-            membership[idx] += 1
-            column[idx] += 1.0 if signed > 0 else -1.0
-
-    for m in basis:
-        if m.name == "source":
-            fill(src, m)
-        else:
-            fill(L[:, unknowns.index(m)], m)
+            rows.append(idx)
+            cols.append(column)
+            signs.append(1.0 if signed > 0 else -1.0)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    signs = np.array(signs)
+    membership = np.bincount(rows, minlength=n_br)
     if np.any(membership > 2):
         bad = [i + 1 for i in np.nonzero(membership > 2)[0]]
         raise ValueError(f"invalid mesh basis: branches {bad} appear in more than two loops")
-    return L, src, [m.name for m in unknowns]
+
+    w = np.array([br.w for br in c.branches], dtype=float)
+    src = cols == n
+    s = np.bincount(rows[src], signs[src], minlength=n_br) / w
+    loop = ~src
+    net = Network(n, rows[loop], cols[loop], signs[loop] / w[rows[loop]], s, w)
+    return net, [m.name for m in unknowns]
 
 
 def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
@@ -87,78 +99,35 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     Branch current is the signed sum of its loops' currents (plus i_in on
     the source loop); a branch of multiplicity w splits that current over w
     parallel elements.  The input voltage is collected around the source
-    loop.  Uses the same damped Newton core as the nodal solver, with the
-    co-energy (integral of f over current) as the convex merit.
+    loop.  The co-energy (integral of f over current) is the convex merit.
     """
     if not (i_in > 0.0):
         raise ValueError(f"i_in must be positive, got {i_in}")
     basis = tuple(basis) if basis is not None else c.meshes
     if not basis:
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")
-    L, src, names = _loop_matrix(c, basis)
-    w = np.array([br.w for br in c.branches], dtype=float)
+    net, names = _loop_network(c, basis)
     f = f_resistive
-    n_unknown = L.shape[1]
+    outcome = damped_newton(net.linear_start(i_in), *net.equations(f, i_in),
+                            abs_tol=net.abs_tol(f, i_in),
+                            max_iters=max_iterations(max_iters))
+    if not outcome.converged:
+        raise SolverError(
+            f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
 
-    def branch_currents(x: np.ndarray) -> np.ndarray:
-        return L @ x + src * i_in
-
-    def drops(x: np.ndarray) -> np.ndarray:
-        return _currents(f, branch_currents(x) / w)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return L.T @ drops(x)
-
-    abs_cap = 1e-12 * max(1.0, f(i_in))
-
-    def tolerances(x: np.ndarray) -> np.ndarray:
-        j = branch_currents(x) / w
-        flow = np.abs(L.T) @ np.abs(drops(x))
-        cscale = max(float(i_in), float(np.max(np.abs(x))) if x.size else 0.0)
-        slo = _floor_slopes(f, j, EPS * cscale) / w
-        floor = (np.abs(L.T) @ slo) * cscale
-        return np.maximum(np.minimum(REL_TOL * flow, abs_cap),
-                          NOISE_MULT * EPS * floor)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        j = branch_currents(x) / w
-        g = _slopes(f, j) / w
-        J = L.T @ (g[:, None] * L)
-        if f.min_exponent < 1.0 and np.any(np.abs(j) < 1e-12):
-            J[np.diag_indices_from(J)] += 1e-9
-        return J
-
-    def objective(x: np.ndarray) -> float:
-        return float((w * _integral(f, branch_currents(x) / w)).sum())
-
-    if n_unknown == 0:
-        x = np.zeros(0)
-        res_norm, iters = 0.0, 0
-    else:
-        A = L.T @ ((1.0 / w)[:, None] * L)
-        rhs = -(L.T @ (src / w)) * i_in
-        x0 = np.linalg.solve(A, rhs)
-        outcome = damped_newton(x0, residual, jacobian, objective, tolerances,
-                                abs_tol=abs_cap,
-                                max_iters=max_iterations(max_iters))
-        if not outcome.converged:
-            raise SolverError(
-                f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
-        x = outcome.x
-        res_norm, iters = outcome.residual_inf, outcome.iterations
-
-    v_in = float(src @ drops(x))
+    # s . w f(y) = source . f(y): the element voltages around the source loop
+    v_in = float(net.s @ net.flows(f, outcome.x, i_in))
     phi = None
     if len(f.terms) == 1:
         d, a = f.terms[0]
         phi = v_in / (d * i_in**a)
     return MeshSolution(
         i_in=float(i_in),
-        mesh_currents={name: float(val) for name, val in zip(names, x)},
+        mesh_currents={name: float(val) for name, val in zip(names, outcome.x)},
         input_voltage=v_in,
         phi_meshes=phi,
-        residual_norm=float(res_norm),
-        iterations=int(iters),
+        residual_norm=float(outcome.residual_inf),
+        iterations=int(outcome.iterations),
     )
 
 

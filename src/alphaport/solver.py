@@ -1,10 +1,12 @@
 """Exact DC solution of a one-port with identical monotone conductors.
 
-Unknowns are the internal node potentials; the input terminals are pinned
-to (v_in, 0).  Damped Newton iterates on the KCL residuals, safeguarded by
-a line search on the co-content (the per-branch integral of the conductor
-law), which is strictly convex in the internal potentials, so the solution
-exists, is unique and is always found.
+Unknowns are the internal node potentials x; the input terminals are
+pinned to (v_in, 0).  KCL is the network equation A^T w f(A x + s v_in) = 0
+of network.py, with A the signed incidence of the live branches over the
+internal nodes and s their incidence on the driven terminal.  Damped Newton
+solves it, safeguarded by a line search on the co-content (the per-branch
+integral of the conductor law), which is strictly convex in x, so the
+solution exists, is unique and is always found.
 
 Branches that lie on no path between the input terminals carry no current;
 they are trimmed before the iteration (see _live_split) and their nodes
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import EPS, NOISE_MULT, REL_TOL, damped_newton, max_iterations
+from ._newton import EPS, REL_TOL, damped_newton, max_iterations
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, validate
+from .network import Network
 
 __all__ = [
     "SolverError",
@@ -31,14 +34,6 @@ __all__ = [
     "port_current_sum",
     "co_content",
 ]
-
-# Diagonal bump applied when a sublinear exponent meets a (numerically)
-# zero branch drop, where the true slope diverges.
-SINGULAR_SLOPE_REG = 1e-9
-ZERO_DROP = 1e-12
-# Guards the tolerance-floor granule when both endpoint potentials are 0.
-TINY_SCALE = 1e-300
-
 
 class SolverError(RuntimeError):
     """Newton failed to meet tolerance; for valid inputs this is a bug signal."""
@@ -68,51 +63,6 @@ class DcSolution:
     def d(self) -> dict[str, float]:
         """Voltage-division ratios v_k / v_in."""
         return {n: p / self.v_in for n, p in self.potentials.items()}
-
-
-def _term_arrays(f: Characteristic):
-    coef = np.array(f.coefficients)
-    expo = np.array(f.exponents)
-    return coef, expo
-
-
-def _currents(f: Characteristic, drops: np.ndarray) -> np.ndarray:
-    """Odd extension sign(d) * f(|d|), vectorized over branch drops."""
-    coef, expo = _term_arrays(f)
-    ad = np.abs(drops)
-    mag = (coef[None, :] * ad[:, None] ** expo[None, :]).sum(axis=1)
-    return np.sign(drops) * mag
-
-
-def _slopes(f: Characteristic, drops: np.ndarray) -> np.ndarray:
-    ad = np.abs(drops)
-    out = np.zeros_like(ad)
-    for d, a in f.terms:
-        base = np.maximum(ad, ZERO_DROP) if a < 1.0 else ad
-        out += d * a * base ** (a - 1.0)
-    return out
-
-
-def _floor_slopes(f: Characteristic, drops: np.ndarray, granule: np.ndarray) -> np.ndarray:
-    """Slopes evaluated no closer to the origin than one representable step.
-
-    Feeds the per-equation tolerance floor: a sublinear law's current jumps
-    by about f(granule) when a near-zero drop moves by one potential ulp,
-    which is far more than slope-at-the-clamp would suggest.
-    """
-    ad = np.abs(drops)
-    out = np.zeros_like(ad)
-    for d, a in f.terms:
-        base = np.maximum(ad, granule)
-        out += d * a * base ** (a - 1.0)
-    return out
-
-
-def _integral(f: Characteristic, drops: np.ndarray) -> np.ndarray:
-    coef, expo = _term_arrays(f)
-    ad = np.abs(drops)
-    return (coef[None, :] / (expo[None, :] + 1.0)
-            * ad[:, None] ** (expo[None, :] + 1.0)).sum(axis=1)
 
 
 def _snap_equal_potentials(internal: list[str], x, port_values: dict[str, float],
@@ -263,6 +213,25 @@ def _live_split(c: Circuit) -> tuple[list[int], list[tuple[str, str]]]:
     return alive, assignments
 
 
+def _nodal_network(c: Circuit) -> tuple[Network, list[str], list[tuple[str, str]],
+                                         list[Branch]]:
+    """KCL network over the live internal nodes, plus those nodes, the
+    dead-node assignments of ``_live_split`` and the live branches."""
+    alive, dead_assignments = _live_split(c)
+    dead_nodes = {n for n, _ in dead_assignments}
+    internal = [n for n in c.internal_nodes() if n not in dead_nodes]
+    live = [c.branches[i] for i in alive]
+    n = len(internal)
+    index = {name: i for i, name in enumerate(internal)}
+    # port endpoints fall in the network's ignored sentinel column n
+    cols = [index.get(name, n) for br in live for name in br[:2]]
+    a = c.input_port[0]
+    s = [(br.n1 == a) - (br.n2 == a) for br in live]
+    net = Network(n, np.repeat(np.arange(len(live)), 2), cols, np.tile([1.0, -1.0], len(live)),
+                  s, [br.w for br in live])
+    return net, internal, dead_assignments, live
+
+
 def solve_dc(c: Circuit, f: Characteristic, v_in: float,
              initial_potentials: dict[str, float] | None = None,
              max_iters: int | None = None) -> DcSolution:
@@ -279,142 +248,31 @@ def solve_dc(c: Circuit, f: Characteristic, v_in: float,
         raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
 
     a, b = c.input_port
-    alive, dead_assignments = _live_split(c)
-    dead_nodes = {n for n, _ in dead_assignments}
-    internal = [n for n in c.internal_nodes() if n not in dead_nodes]
-    index = {n: i for i, n in enumerate(internal)}
-    n_int = len(internal)
-
-    # per-branch endpoint indices; -1 marks the driven terminal, -2 ground
-    def node_code(name: str) -> int:
-        if name == a:
-            return -1
-        if name == b:
-            return -2
-        return index[name]
-
-    br = [c.branches[i] for i in alive]
-    i1 = np.array([node_code(x.n1) for x in br], dtype=int)
-    i2 = np.array([node_code(x.n2) for x in br], dtype=int)
-    w = np.array([x.w for x in br], dtype=float)
-    n_br = len(br)
-
-    def full_potentials(x: np.ndarray) -> np.ndarray:
-        # virtual layout: internal nodes, then [a]=v_in, [b]=0
-        p = np.empty(n_int + 2)
-        p[:n_int] = x
-        p[n_int] = v_in
-        p[n_int + 1] = 0.0
-        return p
-
-    def endpoint(idx: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = np.where(idx == -1, p[n_int], 0.0)
-        mask = idx >= 0
-        out[mask] = p[idx[mask]]
-        return out
-
-    def drops_of(x: np.ndarray) -> np.ndarray:
-        p = full_potentials(x)
-        return endpoint(i1, p) - endpoint(i2, p)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        cur = w * _currents(f, drops_of(x))
-        r = np.zeros(n_int)
-        m1 = i1 >= 0
-        m2 = i2 >= 0
-        np.add.at(r, i1[m1], cur[m1])
-        np.subtract.at(r, i2[m2], cur[m2])
-        return r
-
-    abs_cap = 1e-12 * max(1.0, f(v_in))
-
-    def tolerances(x: np.ndarray) -> np.ndarray:
-        # relative share of the local flow (capped at the flat input-scale
-        # tolerance), plus the roundoff floor of forming each drop as a
-        # difference of the stored potentials
-        p = full_potentials(x)
-        e1 = endpoint(i1, p)
-        e2 = endpoint(i2, p)
-        d = e1 - e2
-        cur = np.abs(w * _currents(f, d))
-        pscale = np.maximum(np.abs(e1), np.abs(e2))
-        slo = w * _floor_slopes(f, d, EPS * np.maximum(pscale, TINY_SCALE))
-        flow = np.zeros(n_int)
-        floor = np.zeros(n_int)
-        m1 = i1 >= 0
-        m2 = i2 >= 0
-        for idx, mask in ((i1, m1), (i2, m2)):
-            np.add.at(flow, idx[mask], cur[mask])
-            np.add.at(floor, idx[mask], (slo * pscale)[mask])
-        return np.maximum(np.minimum(REL_TOL * flow, abs_cap),
-                          NOISE_MULT * EPS * floor)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        d = drops_of(x)
-        g = w * _slopes(f, d)
-        J = np.zeros((n_int, n_int))
-        for k in range(n_br):
-            ia, ib, gk = i1[k], i2[k], g[k]
-            if ia >= 0:
-                J[ia, ia] += gk
-            if ib >= 0:
-                J[ib, ib] += gk
-            if ia >= 0 and ib >= 0:
-                J[ia, ib] -= gk
-                J[ib, ia] -= gk
-        if f.min_exponent < 1.0 and np.any(np.abs(d) < ZERO_DROP):
-            J[np.diag_indices_from(J)] += SINGULAR_SLOPE_REG
-        return J
-
-    def objective(x: np.ndarray) -> float:
-        return float((w * _integral(f, drops_of(x))).sum())
-
-    def linear_start() -> np.ndarray:
-        L = np.zeros((n_int, n_int))
-        rhs = np.zeros(n_int)
-        for k in range(n_br):
-            ia, ib, wk = i1[k], i2[k], w[k]
-            for me, other in ((ia, ib), (ib, ia)):
-                if me < 0:
-                    continue
-                L[me, me] += wk
-                if other >= 0:
-                    L[me, other] -= wk
-                elif other == -1:
-                    rhs[me] += wk * v_in
-        return np.linalg.solve(L, rhs)
-
-    if n_int == 0:
-        x = np.zeros(0)
-        outcome_res, outcome_iters = 0.0, 0
-        residual_sum = 0.0
+    net, internal, dead_assignments, live = _nodal_network(c)
+    residual, jacobian, objective, tolerances = net.equations(f, v_in)
+    abs_tol = net.abs_tol(f, v_in)
+    if initial_potentials is not None:
+        x0 = np.array([float(initial_potentials.get(n, 0.0)) for n in internal])
     else:
-        if initial_potentials is not None:
-            x0 = np.array([float(initial_potentials.get(n, 0.0)) for n in internal])
-        else:
-            x0 = linear_start()
-        outcome = damped_newton(x0, residual, jacobian, objective, tolerances,
-                                abs_tol=abs_cap,
-                                max_iters=max_iterations(max_iters))
-        if not outcome.converged:
-            snapped = _snap_equal_potentials(internal, outcome.x,
-                                             {a: float(v_in), b: 0.0}, br)
-            if snapped is not None:
-                outcome = damped_newton(snapped, residual, jacobian, objective,
-                                        tolerances, abs_tol=abs_cap,
-                                        max_iters=max_iterations(max_iters))
-        if not outcome.converged:
-            raise SolverError(
-                f"KCL iteration did not converge within {max_iterations(max_iters)} "
-                f"iterations (residual {outcome.residual_inf:.3e}); "
-                "valid circuits always converge, so check the inputs")
-        x = outcome.x
-        outcome_res, outcome_iters = outcome.residual_inf, outcome.iterations
-        residual_sum = float(np.abs(residual(x)).sum())
+        x0 = net.linear_start(v_in)
+    outcome = damped_newton(x0, residual, jacobian, objective, tolerances,
+                            abs_tol=abs_tol, max_iters=max_iterations(max_iters))
+    if not outcome.converged:
+        snapped = _snap_equal_potentials(internal, outcome.x,
+                                         {a: float(v_in), b: 0.0}, live)
+        if snapped is not None:
+            outcome = damped_newton(snapped, residual, jacobian, objective,
+                                    tolerances, abs_tol=abs_tol,
+                                    max_iters=max_iterations(max_iters))
+    if not outcome.converged:
+        raise SolverError(
+            f"KCL iteration did not converge within {max_iterations(max_iters)} "
+            f"iterations (residual {outcome.residual_inf:.3e}); "
+            "valid circuits always converge, so check the inputs")
+    residual_sum = float(np.abs(residual(outcome.x)).sum())
 
     potentials = {a: float(v_in), b: 0.0}
-    for n in internal:
-        potentials[n] = float(x[index[n]])
+    potentials.update(zip(internal, outcome.x.tolist()))
     for node, anchor in dead_assignments:
         potentials[node] = potentials[anchor]
 
@@ -435,7 +293,7 @@ def solve_dc(c: Circuit, f: Characteristic, v_in: float,
     i_a = -port_current_sum(c, f, potentials, a)  # outflow at the driven terminal
     # the two port sums differ by exactly the telescoped internal
     # imbalances, so the achieved residuals bound the legitimate gap
-    if abs(i_a - i_b) > residual_sum + 1e-9 * max(1.0, abs(i_b)):
+    if abs(i_a - i_b) > residual_sum + 1e3 * REL_TOL * max(1.0, abs(i_b)):
         raise SolverError(
             f"input current differs between terminals ({i_a!r} vs {i_b!r}); "
             "KCL solution is inconsistent")
@@ -447,9 +305,9 @@ def solve_dc(c: Circuit, f: Characteristic, v_in: float,
         branch_voltages=tuple(voltages),
         branch_currents=tuple(currents),
         input_current=float(i_b),
-        residual_norm=float(outcome_res),
-        residual_sum=float(residual_sum),
-        iterations=int(outcome_iters),
+        residual_norm=float(outcome.residual_inf),
+        residual_sum=residual_sum,
+        iterations=int(outcome.iterations),
     )
 
 
