@@ -14,7 +14,10 @@ nodal solver's network equation A^T w f(A x + s i_in) = 0 (network.py)
 with A = diag(1/w) L for the loop matrix L and s = source / w.
 
 Loop bases are explicit inputs: the built-in fig_b1 carries the two-mesh
-basis plus the source loop; netlists can supply ``.mesh`` sections.
+basis plus the source loop; netlists can supply ``.mesh`` sections.  A
+basis is checked before solving: every loop closes, the source loop is a
+path from a to b, and the other loops are n_branches - n_nodes + 1
+independent ones.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._newton import damped_newton, max_iterations
+from ._newton import EPS, damped_newton, max_iterations
 from .characteristic import Characteristic
-from .circuit import Circuit, Mesh
+from .circuit import Circuit, Mesh, validate
 from .network import Network
 from .solver import SolverError
 
@@ -36,6 +39,11 @@ __all__ = [
     "phi_meshes_from_nodes",
     "phi_b6_closed_form",
 ]
+
+# A Cholesky pivot at or below this share of its diagonal marks a loop
+# dependent on the earlier ones: roundoff leaves such a pivot near EPS,
+# while independent loops of any practical basis keep it near 1/n or above.
+DEPENDENT_PIVOT = float(np.sqrt(EPS))
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,9 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
 
     Returns the network and the names of its unknown loops, in order.
     """
+    rep = validate(c)
+    if not rep.ok:
+        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
     names = [m.name for m in basis]
     if "source" not in names:
         raise ValueError("mesh basis must include the loop named 'source'")
@@ -78,16 +89,43 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
     rows = np.array(rows, dtype=np.intp)
     cols = np.array(cols, dtype=np.intp)
     signs = np.array(signs)
-    membership = np.bincount(rows, minlength=n_br)
-    if np.any(membership > 2):
-        bad = [i + 1 for i in np.nonzero(membership > 2)[0]]
-        raise ValueError(f"invalid mesh basis: branches {bad} appear in more than two loops")
+
+    # node incidence B of every loop from its branch entries: each unknown
+    # loop must close (B l = 0) and the source loop run from a to b
+    # (B s = e_a - e_b)
+    node = {name: i for i, name in enumerate(sorted(c.nodes))}
+    ends = np.array([(node[br.n1], node[br.n2]) for br in c.branches], dtype=np.intp)
+    cells = np.concatenate([ends[rows, 0], ends[rows, 1]]) * (n + 1) + np.concatenate([cols, cols])
+    incidence = np.bincount(cells, np.concatenate([signs, -signs]),
+                            minlength=len(node) * (n + 1)).reshape(len(node), n + 1)
+    a, b = c.input_port
+    incidence[node[a], n] -= 1.0
+    incidence[node[b], n] += 1.0
+    broken = np.nonzero(np.any(incidence != 0.0, axis=0))[0]
+    if broken.size and broken[-1] == n:
+        raise ValueError(f"invalid mesh basis: the source loop is not a path from {a!r} to {b!r}")
+    if broken.size:
+        raise ValueError(f"invalid mesh basis: loop {loops[broken[0]].name!r} does not close")
+    needed = n_br - len(node) + 1
+    if n != needed:
+        raise ValueError(f"invalid mesh basis: {n} loops besides the source, "
+                         f"but the circuit has {needed} independent loops")
 
     w = np.array([br.w for br in c.branches], dtype=float)
     src = cols == n
     s = np.bincount(rows[src], signs[src], minlength=n_br) / w
     loop = ~src
     net = Network(n, rows[loop], cols[loop], signs[loop] / w[rows[loop]], s, w)
+    # the loops are independent iff the linear-start Gram matrix is
+    # positive definite; a dependent set leaves a pivot at roundoff level
+    gram = net.gram(w)
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+        independent = bool(np.all(pivots > DEPENDENT_PIVOT * np.diag(gram)))
+    except np.linalg.LinAlgError:
+        independent = False
+    if not independent:
+        raise ValueError("invalid mesh basis: the loops are not independent")
     return net, [m.name for m in unknowns]
 
 

@@ -160,7 +160,7 @@ class Network:
         def tolerances(x: np.ndarray) -> np.ndarray:
             # relative share of the local flow (capped at the flat
             # drive-scale tolerance), plus the roundoff floor of forming
-            # each y_k from its terms: the granule is EPS times the largest
+            # each y_k from its terms, a granule of EPS * max |term|
             terms = self._terms(x)
             y = terms.sum(axis=1) + su
             scale = np.maximum(np.abs(terms).max(axis=1), np.abs(su))

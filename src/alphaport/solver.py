@@ -215,8 +215,11 @@ def _live_split(c: Circuit) -> tuple[list[int], list[tuple[str, str]]]:
 
 def _nodal_network(c: Circuit) -> tuple[Network, list[str], list[tuple[str, str]],
                                          list[Branch]]:
-    """KCL network over the live internal nodes, plus those nodes, the
-    dead-node assignments of ``_live_split`` and the live branches."""
+    """KCL network of the live branches over the live internal nodes.
+
+    Returned with those nodes in column order, the dead-node assignments
+    of ``_live_split`` and the live branches.
+    """
     alive, dead_assignments = _live_split(c)
     dead_nodes = {n for n, _ in dead_assignments}
     internal = [n for n in c.internal_nodes() if n not in dead_nodes]

@@ -13,6 +13,7 @@ from alphaport import (
 )
 
 FIG_B1 = build_canonical("fig_b1")
+SOURCE, M1, M2 = FIG_B1.meshes
 
 
 def power_law(alpha, d=1.0):
@@ -110,8 +111,36 @@ class TestBasisHandling:
 
     def test_overfull_branch_membership_rejected(self):
         basis = (Mesh("source", (1,)), Mesh("m1", (1, 2)), Mesh("m2", (1, 3)))
-        with pytest.raises(ValueError, match="more than two"):
+        with pytest.raises(ValueError, match="does not close"):
             mesh_solve(FIG_B1, power_law(1.0), 1.0, basis=basis)
+
+    @pytest.mark.parametrize("basis, match", [
+        # open "loop": returned input_voltage 1.0 where the answer is 0.625
+        ((SOURCE, Mesh("m1", (2, 3)), Mesh("m2", (-3, 4, 5))), "'m1' does not close"),
+        # closed but incomplete: returned 0.6667
+        ((SOURCE, M1), "2 independent loops"),
+        # dependent extra loop m3 = m1 + m2
+        ((SOURCE, M1, M2, Mesh("m3", (-1, 2, 4, 5))), "2 independent loops"),
+        # right count, but m2 = -m1
+        ((SOURCE, M1, Mesh("m2", (1, -2, -3))), "not independent"),
+        ((Mesh("source", (-1,)), M1, M2), "source loop is not a path"),
+    ], ids=["open", "incomplete", "dependent-extra", "dependent", "reversed-source"])
+    def test_invalid_basis_rejected(self, basis, match):
+        with pytest.raises(ValueError, match=match):
+            mesh_solve(FIG_B1, power_law(1.0), 1.0, basis=basis)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_branch_in_three_loops_accepted(self, alpha):
+        # branch 2 (a-o) lies on the source path and in both loops
+        basis = (Mesh("source", (2, 3)), M1, Mesh("m2", (-1, 2, 4, 5)))
+        sol = mesh_solve(FIG_B1, power_law(alpha), 1.0, basis=basis)
+        assert sol.phi_meshes == pytest.approx(phi_b6_closed_form(alpha), rel=1e-9)
+
+    def test_invalid_circuit_rejected(self):
+        c = Circuit((Branch("a", "b"), Branch("a", "a")), ("a", "b"),
+                    meshes=(Mesh("source", (1,)), Mesh("m1", (2,))))
+        with pytest.raises(ValueError, match="self-loop"):
+            mesh_solve(c, power_law(1.0), 1.0)
 
     def test_index_out_of_range_rejected(self):
         basis = (Mesh("source", (9,)),)
