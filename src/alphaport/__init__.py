@@ -38,9 +38,9 @@ from .solver import (
     DcSolution,
     SolverError,
     co_content,
-    input_current_from_potentials,
     port_current_sum,
     solve_dc,
+    solve_grid,
 )
 from .superposition import (
     IntermediateValueResult,
@@ -52,6 +52,7 @@ from .superposition import (
     extract_series_coeffs,
     intermediate_value_check,
     report,
+    report_grid,
     leading_term_check,
     superpose,
     term_split_input_currents,
@@ -88,7 +89,6 @@ __all__ = [
     "extract_series_coeffs",
     "format_characteristic",
     "hardlimiter_limit",
-    "input_current_from_potentials",
     "intermediate_value_check",
     "ladder_fixed_point",
     "ladder_g_coeffs",
@@ -104,7 +104,9 @@ __all__ = [
     "port_current_sum",
     "render_netlist",
     "report",
+    "report_grid",
     "solve_dc",
+    "solve_grid",
     "leading_term_check",
     "superpose",
     "term_split_input_currents",

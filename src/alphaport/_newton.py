@@ -71,10 +71,8 @@ MAX_ITERS_ENV = "ALPHAPORT_MAX_ITERS"
 DEFAULT_MAX_ITERS = 200
 
 
-def max_iterations(override: int | None = None) -> int:
-    """Iteration cap: explicit argument, else ALPHAPORT_MAX_ITERS, else 200."""
-    if override is not None:
-        return int(override)
+def max_iterations() -> int:
+    """Iteration cap: ALPHAPORT_MAX_ITERS, else 200."""
     env = os.environ.get(MAX_ITERS_ENV)
     if env:
         try:

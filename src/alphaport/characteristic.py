@@ -144,10 +144,6 @@ class Characteristic:
             return self(v)
         return -self(-v)
 
-    def slope_signed(self, v: float) -> float:
-        """Slope of the odd extension (an even function of v)."""
-        return self.slope(abs(v))
-
     def antiderivative(self, v: float) -> float:
         """Integral of f from 0 to |v| (per-conductor co-content)."""
         av = abs(v)

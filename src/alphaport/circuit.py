@@ -102,10 +102,6 @@ class Circuit:
             adj[b.n2].add(b.n1)
         return adj
 
-    def with_extra_branch(self, n1: str, n2: str, w: int = 1) -> "Circuit":
-        return Circuit(self.branches + (Branch(n1, n2, w),), self.input_port,
-                       f_text=self.f_text, meshes=self.meshes)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

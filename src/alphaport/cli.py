@@ -8,7 +8,8 @@ Subcommands::
     ladder      infinite-ladder fixed points (alpha, lambda, phi)
     mesh        mesh-current (resistive) solve with an explicit loop basis
     sweep       superposition reports over a drive grid, or profiles over
-                an exponent grid, as a CSV table
+                an exponent grid, as a CSV table; a drive sweep solves each
+                term's profile once and warm-starts along the ascending grid
 
 Output is deterministic: repeated runs with identical inputs are
 byte-identical; ``--meta`` adds a timestamp block separately.  Numbers are
@@ -34,7 +35,7 @@ from .circuit import CANONICAL_NAMES, Circuit, NetlistError, build_canonical, pa
 from .ladder import ladder_fixed_point
 from .mesh import mesh_solve
 from .solver import SolverError, solve_dc
-from .superposition import report
+from .superposition import report, report_grid
 
 __all__ = ["main", "entry"]
 
@@ -304,14 +305,9 @@ def _cmd_sweep(args) -> str:
     internal = c.internal_nodes()
     header = ["v_in", "F", "G", "eta", "eta_nonlinear", "nonlinearity_degree", "bound"]
     header += [f"d_{n}" for n in internal]
-    rows = []
-    for v in grid:
-        rep = report(c, f, v)
-        sol = solve_dc(c, f, v)
-        row = [rep.v_in, rep.F, rep.G, rep.eta, rep.eta_nonlinear,
-               rep.nonlinearity_degree, rep.bound]
-        row += [sol.potentials[n] / v for n in internal]
-        rows.append(row)
+    rows = [[rep.v_in, rep.F, rep.G, rep.eta, rep.eta_nonlinear, rep.nonlinearity_degree,
+             rep.bound] + [sol.potentials[n] / rep.v_in for n in internal]
+            for sol, rep in report_grid(c, f, grid)]
     if args.format == "json":
         return _emit_json([dict(zip(header, row)) for row in rows], args.meta)
     return _emit_csv(header, rows, args.meta)

@@ -130,8 +130,7 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
 
 
 def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
-               basis: Sequence[Mesh] | None = None,
-               max_iters: int | None = None) -> MeshSolution:
+               basis: Sequence[Mesh] | None = None) -> MeshSolution:
     """Solve the KVL loop equations under a current drive.
 
     Branch current is the signed sum of its loops' currents (plus i_in on
@@ -148,7 +147,7 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     f = f_resistive
     outcome = damped_newton(net.linear_start(i_in), *net.equations(f, i_in),
                             abs_tol=net.abs_tol(f, i_in),
-                            max_iters=max_iterations(max_iters))
+                            max_iters=max_iterations())
     if not outcome.converged:
         raise SolverError(
             f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")

@@ -30,7 +30,7 @@ __all__ = [
     "SolverError",
     "DcSolution",
     "solve_dc",
-    "input_current_from_potentials",
+    "solve_grid",
     "port_current_sum",
     "co_content",
 ]
@@ -217,9 +217,12 @@ def _nodal_network(c: Circuit) -> tuple[Network, list[str], list[tuple[str, str]
                                          list[Branch]]:
     """KCL network of the live branches over the live internal nodes.
 
-    Returned with those nodes in column order, the dead-node assignments
-    of ``_live_split`` and the live branches.
+    Validates the circuit first.  Returned with those nodes in column
+    order, the dead-node assignments of ``_live_split`` and the live branches.
     """
+    rep = validate(c)
+    if not rep.ok:
+        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
     alive, dead_assignments = _live_split(c)
     dead_nodes = {n for n, _ in dead_assignments}
     internal = [n for n in c.internal_nodes() if n not in dead_nodes]
@@ -236,40 +239,66 @@ def _nodal_network(c: Circuit) -> tuple[Network, list[str], list[tuple[str, str]
 
 
 def solve_dc(c: Circuit, f: Characteristic, v_in: float,
-             initial_potentials: dict[str, float] | None = None,
-             max_iters: int | None = None) -> DcSolution:
+             initial_potentials: dict[str, float] | None = None) -> DcSolution:
     """Solve KCL at every internal node for the given drive voltage.
 
     The iteration starts from the unit-conductance linear solution unless
-    ``initial_potentials`` provides a warm start (useful for sweeps and for
-    continuation toward large exponents).
+    ``initial_potentials`` provides a warm start (useful for continuation
+    toward large exponents).
     """
     if not (v_in > 0.0):
         raise ValueError(f"v_in must be positive, got {v_in}")
-    rep = validate(c)
-    if not rep.ok:
-        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
+    nodal = _nodal_network(c)
+    x0 = None if initial_potentials is None else (
+        np.array([float(initial_potentials.get(n, 0.0)) for n in nodal[1]]))
+    return _solve(c, f, v_in, nodal, x0)
 
+
+def solve_grid(c: Circuit, f: Characteristic, grid) -> tuple[DcSolution, ...]:
+    """``solve_dc`` at every drive of ``grid``, returned in grid order.
+
+    The circuit is validated and its network built once.  Drives are
+    solved in ascending order, each warm-started from the previous
+    solution scaled by the drive ratio.
+    """
+    drives = [float(v) for v in grid]
+    if not drives:
+        raise ValueError("drive grid is empty")
+    bad = next((v for v in drives if not v > 0.0), None)
+    if bad is not None:
+        raise ValueError(f"v_in must be positive, got {bad}")
+    nodal = _nodal_network(c)
+    solutions: dict[int, DcSolution] = {}
+    prev = None
+    for i in sorted(range(len(drives)), key=drives.__getitem__):
+        v = drives[i]
+        x0 = None if prev is None else (
+            np.array([prev.potentials[n] for n in nodal[1]]) * (v / prev.v_in))
+        prev = solutions[i] = _solve(c, f, v, nodal, x0)
+    return tuple(solutions[i] for i in range(len(drives)))
+
+
+def _solve(c: Circuit, f: Characteristic, v_in: float, nodal,
+           x0: np.ndarray | None) -> DcSolution:
+    """One drive of a prepared ``_nodal_network``; ``x0=None`` starts linear."""
     a, b = c.input_port
-    net, internal, dead_assignments, live = _nodal_network(c)
+    net, internal, dead_assignments, live = nodal
     residual, jacobian, objective, tolerances = net.equations(f, v_in)
     abs_tol = net.abs_tol(f, v_in)
-    if initial_potentials is not None:
-        x0 = np.array([float(initial_potentials.get(n, 0.0)) for n in internal])
-    else:
+    max_iters = max_iterations()
+    if x0 is None:
         x0 = net.linear_start(v_in)
     outcome = damped_newton(x0, residual, jacobian, objective, tolerances,
-                            abs_tol=abs_tol, max_iters=max_iterations(max_iters))
+                            abs_tol=abs_tol, max_iters=max_iters)
     if not outcome.converged:
         snapped = _snap_equal_potentials(internal, outcome.x,
                                          {a: float(v_in), b: 0.0}, live)
         if snapped is not None:
             outcome = damped_newton(snapped, residual, jacobian, objective,
-                                    tolerances, abs_tol=abs_tol,
-                                    max_iters=max_iterations(max_iters))
+                                    tolerances, abs_tol=abs_tol, max_iters=max_iters)
     if not outcome.converged:
         raise SolverError(
-            f"KCL iteration did not converge within {max_iterations(max_iters)} "
+            f"KCL iteration did not converge within {max_iters} "
             f"iterations (residual {outcome.residual_inf:.3e}); "
             "valid circuits always converge, so check the inputs")
     residual_sum = float(np.abs(residual(outcome.x)).sum())
@@ -330,11 +359,6 @@ def port_current_sum(c: Circuit, f: Characteristic, potentials, node: str) -> fl
         elif br.n1 == node:
             total += br.w * f.eval_signed(p[br.n2] - p[br.n1])
     return total
-
-
-def input_current_from_potentials(c: Circuit, f: Characteristic, potentials) -> float:
-    """Input current as the branch-current sum collected at ground."""
-    return port_current_sum(c, f, potentials, c.b)
 
 
 def co_content(c: Circuit, f: Characteristic, potentials) -> float:

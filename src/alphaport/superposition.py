@@ -11,6 +11,9 @@ leading small-drive term with the exact F for every topology, and is
 otherwise a high-precision estimate.  This module quantifies the gap:
 relative error, nonlinear-part comparison, a voltage-drop bound on |F - G|
 and the intermediate-value behavior of the node ratios.
+
+The profiles do not depend on the drive, so each drive-grid function
+solves them once per term and F through one ``solve_grid`` pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .alpha import AlphaProfile, alpha_solve
 from .characteristic import Characteristic
 from .circuit import Circuit
-from .solver import solve_dc
+from .solver import DcSolution, solve_dc, solve_grid
 
 __all__ = [
     "TermContribution",
@@ -31,6 +34,7 @@ __all__ = [
     "IntermediateValueResult",
     "superpose",
     "report",
+    "report_grid",
     "leading_term_check",
     "error_bound",
     "extract_series_coeffs",
@@ -89,7 +93,8 @@ class SuperpositionReport:
 
 def superpose(c: Circuit, f: Characteristic) -> tuple[tuple[float, float], ...]:
     """Coefficients of G as (alpha_p, D_p * phi(alpha_p)) pairs, ascending."""
-    return tuple((a, d * alpha_solve(c, a).phi) for d, a in f.terms)
+    profiles = _profiles(c, f)
+    return tuple((a, d * profiles[a].phi) for d, a in f.terms)
 
 
 def _profiles(c: Circuit, f: Characteristic) -> dict[float, AlphaProfile]:
@@ -98,9 +103,25 @@ def _profiles(c: Circuit, f: Characteristic) -> dict[float, AlphaProfile]:
 
 def report(c: Circuit, f: Characteristic, v_in: float) -> SuperpositionReport:
     """Full superposition report at one drive voltage."""
-    sol = solve_dc(c, f, v_in)
-    F = sol.input_current
+    return report_grid(c, f, (v_in,))[0][1]
+
+
+def report_grid(c: Circuit, f: Characteristic,
+                v_grid) -> tuple[tuple[DcSolution, SuperpositionReport], ...]:
+    """Exact solution and superposition report at each drive, in grid order.
+
+    The drives share one ``solve_grid`` pass and one alpha profile per
+    term, since the profiles do not depend on the drive.
+    """
+    solutions = solve_grid(c, f, v_grid)
     profiles = _profiles(c, f)
+    return tuple((sol, _point_report(c, f, sol, profiles)) for sol in solutions)
+
+
+def _point_report(c: Circuit, f: Characteristic, sol: DcSolution,
+                  profiles: dict[float, AlphaProfile]) -> SuperpositionReport:
+    v_in = sol.v_in
+    F = sol.input_current
 
     per_term = []
     G = 0.0
@@ -125,8 +146,7 @@ def report(c: Circuit, f: Characteristic, v_in: float) -> SuperpositionReport:
         scale_v = (dm / dn) ** (1.0 / (n - m))
         scale_i = dm * scale_v**m
         normalized = not (scale_v == 1.0 and scale_i == 1.0)
-        bound = scale_i * error_bound(c, m, n, v_in / scale_v,
-                                      _profiles_cache=profiles)
+        bound = scale_i * _drop_bound(c, profiles[m], profiles[n], v_in / scale_v)
 
     return SuperpositionReport(
         v_in=float(v_in), F=float(F), G=float(G), eta=float(eta),
@@ -134,8 +154,7 @@ def report(c: Circuit, f: Characteristic, v_in: float) -> SuperpositionReport:
         bound=bound, bound_normalized=normalized, per_term=tuple(per_term))
 
 
-def error_bound(c: Circuit, m: float, n: float, v_in: float,
-                _profiles_cache: dict[float, AlphaProfile] | None = None) -> float:
+def error_bound(c: Circuit, m: float, n: float, v_in: float) -> float:
     """Voltage-drop bound on |F - G| for the two-term law v**m + v**n.
 
     Only the two separate power-law solutions enter: with branch drops
@@ -146,9 +165,12 @@ def error_bound(c: Circuit, m: float, n: float, v_in: float,
     """
     if m == n:
         return 0.0
-    cache = _profiles_cache or {}
-    pm = cache.get(m) or alpha_solve(c, m)
-    pn = cache.get(n) or alpha_solve(c, n)
+    return _drop_bound(c, alpha_solve(c, m), alpha_solve(c, n), v_in)
+
+
+def _drop_bound(c: Circuit, pm: AlphaProfile, pn: AlphaProfile, v_in: float) -> float:
+    """``error_bound`` from the m- and n-profiles."""
+    m, n = pm.alpha, pn.alpha
     total = 0.0
     for br in c.branches:
         vm = v_in * abs(pm.d[br.n1] - pm.d[br.n2])
@@ -188,24 +210,13 @@ def leading_term_check(c: Circuit, f: Characteristic, v_grid) -> LeadingTermChec
     may need grids deeper than the usual three decades.
     """
     grid = tuple(float(x) for x in v_grid)
-    if not grid or any(x <= 0.0 for x in grid):
-        raise ValueError("grid must contain positive drive values")
     if any(x2 >= x1 for x1, x2 in zip(grid, grid[1:])):
         raise ValueError("grid must descend toward zero")
 
+    solutions = solve_grid(c, f, grid)
     coeffs = superpose(c, f)
-    ratios = []
-    warm = None
-    prev_x = None
-    for x in reversed(grid):  # ascend for warm starting, report in grid order
-        if warm is not None:
-            warm = {k: p * (x / prev_x) for k, p in warm.items()}
-        sol = solve_dc(c, f, x, initial_potentials=warm)
-        warm = sol.potentials
-        prev_x = x
-        G = sum(cf * x**a for a, cf in coeffs)
-        ratios.append(sol.input_current / G)
-    ratios.reverse()
+    ratios = [sol.input_current / sum(cf * x**a for a, cf in coeffs)
+              for x, sol in zip(grid, solutions)]
     deviations = tuple(abs(r - 1.0) for r in ratios)
 
     expected = f.exponents[1] - f.exponents[0] if len(f.terms) >= 2 else None
@@ -238,6 +249,8 @@ def extract_series_coeffs(c: Circuit, f: Characteristic, exponents=None,
     exps = tuple(float(a) for a in (exponents if exponents is not None else f.exponents))
     if not exps:
         raise ValueError("need at least one exponent")
+    if points < len(exps):
+        raise ValueError(f"{points} points cannot fit {len(exps)} coefficients")
     if v_max is None:
         if len(f.terms) >= 2:
             (d1, a1), (d2, a2) = f.terms[0], f.terms[1]
@@ -247,16 +260,7 @@ def extract_series_coeffs(c: Circuit, f: Characteristic, exponents=None,
 
     grid = np.geomspace(v_max / 100.0, v_max, points)
     a_min = min(exps)
-    values = np.empty(points)
-    warm = None
-    prev_v = None
-    for i, v in enumerate(grid):
-        if warm is not None:
-            warm = {k: p * (v / prev_v) for k, p in warm.items()}
-        sol = solve_dc(c, f, float(v), initial_potentials=warm)
-        warm = sol.potentials
-        prev_v = v
-        values[i] = sol.input_current
+    values = np.array([sol.input_current for sol in solve_grid(c, f, grid)])
 
     weights = grid ** (-a_min)
     design = np.column_stack([grid**a for a in exps]) * weights[:, None]
@@ -290,44 +294,23 @@ def intermediate_value_check(c: Circuit, f: Characteristic,
     if len(f.terms) != 2:
         raise ValueError("intermediate-value check needs a two-term law")
     grid = tuple(float(x) for x in v_grid)
-    if not grid or any(x <= 0.0 for x in grid):
-        raise ValueError("grid must contain positive drive values")
+    solutions = solve_grid(c, f, grid)
 
     (_, m), (_, n) = f.terms
-    pm = alpha_solve(c, m)
-    pn = alpha_solve(c, n)
+    pm, pn = alpha_solve(c, m), alpha_solve(c, n)
     nodes = tuple(c.internal_nodes())
     low = {k: min(pm.d[k], pn.d[k]) for k in nodes}
     high = {k: max(pm.d[k], pn.d[k]) for k in nodes}
 
-    d_values: dict[str, list[float]] = {k: [] for k in nodes}
-    violations: list[tuple[str, float, float]] = []
-    warm = None
-    prev_v = None
-    for v in sorted(grid):
-        if warm is not None:
-            warm = {k: p * (v / prev_v) for k, p in warm.items()}
-        sol = solve_dc(c, f, v, initial_potentials=warm)
-        warm = sol.potentials
-        prev_v = v
-        for k in nodes:
-            d_values[k].append(sol.potentials[k] / v)
-
-    order = np.argsort(grid)
-    inverse = np.empty(len(grid), dtype=int)
-    inverse[order] = np.arange(len(grid))
-    for k in nodes:
-        vals = [d_values[k][inverse[i]] for i in range(len(grid))]
-        d_values[k] = vals
-        for v, val in zip(grid, vals):
-            if val < low[k] - 1e-9 or val > high[k] + 1e-9:
-                violations.append((k, v, val))
+    d_values = {k: tuple(sol.potentials[k] / v for v, sol in zip(grid, solutions))
+                for k in nodes}
+    violations = tuple((k, v, val) for k in nodes for v, val in zip(grid, d_values[k])
+                       if val < low[k] - 1e-9 or val > high[k] + 1e-9)
 
     return IntermediateValueResult(
         v_grid=grid, nodes=nodes,
-        d_values={k: tuple(vs) for k, vs in d_values.items()},
-        low=low, high=high,
-        ok=not violations, violations=tuple(violations))
+        d_values=d_values, low=low, high=high,
+        ok=not violations, violations=violations)
 
 
 def term_split_input_currents(c: Circuit, f: Characteristic, v_in: float,
@@ -367,6 +350,8 @@ def d_growth_coefficient(c: Circuit, f: Characteristic, node: str,
     """
     if len(f.terms) != 2:
         raise ValueError("growth coefficient needs a two-term law")
+    if node not in c.nodes:
+        raise ValueError(f"unknown node {node!r}")
     (_, m), (_, n) = f.terms
     base = alpha_solve(c, m).d[node]
     sol = solve_dc(c, f, v_in)

@@ -152,7 +152,6 @@ class TestTextForm:
 def test_signed_helpers_are_odd_extension():
     f = CUBE_LAW
     assert f.eval_signed(-0.7) == -f(0.7)
-    assert f.slope_signed(-0.7) == f.slope(0.7)
 
 
 def test_antiderivative_matches_power_rule():

@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+from alphaport import Characteristic, build_canonical, report, solve_dc, solver
+from alphaport._newton import damped_newton
 from alphaport.cli import main
 
 
@@ -128,6 +130,39 @@ class TestSweepCommand:
         assert all(b > a for a, b in zip(d_o, d_o[1:]))
         etas = [float(r[header.index("eta")]) for r in rows]
         assert max(etas) < 0.01
+
+    def test_drive_sweep_rows_match_per_point_solves(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--canonical", "ladder", "--sections", "4",
+                               "--f", "1:1,1:3", "--vgrid", "5,0.01,0.7")
+        assert code == 0
+        lines = out.strip().splitlines()
+        header = lines[0].lstrip("# ").split(",")
+        c = build_canonical("ladder", sections=4)
+        f = Characteristic(((1.0, 1.0), (1.0, 3.0)))
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [5.0, 0.01, 0.7]
+        for line in lines[1:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            v = row["v_in"]
+            rep, sol = report(c, f, v), solve_dc(c, f, v)
+            # printed to 9 significant digits: one rounding step is 1e-8 relative
+            expected = {"F": rep.F, "G": rep.G, "bound": rep.bound}
+            expected.update({f"d_{n}": sol.potentials[n] / v for n in c.internal_nodes()})
+            for key, value in expected.items():
+                assert row[key] == pytest.approx(value, rel=1e-8, abs=1e-15), key
+
+    def test_drive_sweep_solves_each_point_once_and_each_profile_once(self, capsys,
+                                                                      monkeypatch):
+        calls = []
+
+        def counting_newton(*args, **kwargs):
+            calls.append(1)
+            return damped_newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "damped_newton", counting_newton)
+        code, _, _ = run_cli(capsys, "sweep", "--canonical", "ladder", "--sections", "15",
+                             "--f", "1:1,1:3", "--vgrid", "log:0.01:10:50")
+        assert code == 0
+        assert len(calls) == 50 + 2  # one exact solve per point, one profile per term
 
     def test_alpha_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--canonical", "fig4",

@@ -11,10 +11,11 @@ from alphaport import (
     SolverError,
     build_canonical,
     co_content,
-    input_current_from_potentials,
     port_current_sum,
     solve_dc,
+    solve_grid,
 )
+from alphaport.solver import _live_split
 from conftest import random_characteristic, random_connected_circuit
 
 CUBE_LAW = Characteristic(((1.0, 1.0), (1.0, 3.0)))
@@ -68,7 +69,7 @@ class TestReferenceSolve:
 class TestPortSums:
     def test_ground_side_matches_driven_side(self):
         sol = solve_dc(FIG_A1, CUBE_LAW, 1.0)
-        at_b = input_current_from_potentials(FIG_A1, CUBE_LAW, sol.potentials)
+        at_b = port_current_sum(FIG_A1, CUBE_LAW, sol.potentials, FIG_A1.b)
         at_a = -port_current_sum(FIG_A1, CUBE_LAW, sol.potentials, "a")
         assert at_b == pytest.approx(at_a, abs=1e-10)
         assert at_b == pytest.approx(sol.input_current, rel=1e-12)
@@ -165,6 +166,61 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_dc(FIG_A1, CUBE_LAW, -1.0)
 
-    def test_exhausted_iteration_budget_is_reported(self):
+    def test_exhausted_iteration_budget_is_reported(self, monkeypatch):
+        monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "1")
         with pytest.raises(SolverError, match="did not converge"):
-            solve_dc(FIG_A1, CUBE_LAW, 1.0, max_iters=1)
+            solve_dc(FIG_A1, CUBE_LAW, 1.0)
+
+
+class TestSolveGrid:
+    @pytest.mark.parametrize("c", [FIG_A1, build_canonical("ladder", sections=15)],
+                             ids=["fig_a1", "ladder-15"])
+    def test_unsorted_grid_with_repeat_keeps_grid_order(self, c):
+        grid = [3.0, 0.1, 10.0, 1.0, 0.1, 0.02]
+        sols = solve_grid(c, CUBE_LAW, grid)
+        assert [s.v_in for s in sols] == grid
+        for v, sol in zip(grid, sols):
+            cold = solve_dc(c, CUBE_LAW, v)
+            assert sol.input_current == pytest.approx(cold.input_current, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [[], [1.0, 0.0], [-1.0, 2.0], [1.0, float("nan")]])
+    def test_rejects_empty_or_nonpositive_grid(self, grid):
+        with pytest.raises(ValueError, match="empty|must be positive"):
+            solve_grid(FIG_A1, CUBE_LAW, grid)
+
+    def test_invalid_circuit_rejected(self):
+        broken = Circuit((Branch("a", "x"),), ("a", "b"))
+        with pytest.raises(ValueError, match="invalid circuit"):
+            solve_grid(broken, CUBE_LAW, [1.0])
+
+
+def test_live_split_matches_networkx_biconnected_components():
+    # oracle: a branch carries current iff it shares a biconnected
+    # component with a virtual a-b edge; midpoint nodes keep parallel
+    # branches distinct in networkx's simple graph
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(200):
+        c = random_connected_circuit(rng)
+        g = nx.Graph()
+        for i, br in enumerate(c.branches):
+            g.add_edge(br.n1, ("mid", i))
+            g.add_edge(("mid", i), br.n2)
+        g.add_edge(c.a, c.b)
+        port_component = next(comp for comp in nx.biconnected_components(g)
+                              if c.a in comp and c.b in comp)
+        expected = {i for i in range(len(c.branches)) if ("mid", i) in port_component}
+
+        alive, assignments = _live_split(c)
+        assert set(alive) == expected
+
+        anchors = {c.a, c.b} | {n for i in alive for n in c.branches[i][:2]}
+        dead = nx.Graph()
+        dead.add_nodes_from(c.nodes)
+        dead.add_edges_from(br[:2] for i, br in enumerate(c.branches) if i not in expected)
+        source = {n: n for n in anchors}
+        for node, anchor in assignments:
+            assert node not in source and anchor in source  # assigned once, replayable
+            source[node] = source[anchor]
+            assert nx.has_path(dead, node, source[node])
+        assert set(source) == set(c.nodes)

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from alphaport import (
+    Branch,
     Characteristic,
+    Circuit,
     alpha_solve,
     build_canonical,
     d_growth_coefficient,
@@ -12,6 +14,7 @@ from alphaport import (
     intermediate_value_check,
     phi_closed_form_fig_a1,
     report,
+    report_grid,
     solve_dc,
     leading_term_check,
     superpose,
@@ -112,6 +115,24 @@ class TestReport:
         assert not plain.bound_normalized
 
 
+class TestReportGrid:
+    @pytest.mark.parametrize("name, sections", [("fig_a1", None), ("ladder", 15)])
+    def test_matches_per_point_report_and_solve(self, name, sections):
+        c = build_canonical(name, sections=sections)
+        grid = [10.0, 0.01, 0.3, 2.0]
+        rows = report_grid(c, CUBE_LAW, grid)
+        assert [rep.v_in for _, rep in rows] == grid
+        for v, (sol, rep) in zip(grid, rows):
+            single = report(c, CUBE_LAW, v)
+            assert rep.F == pytest.approx(single.F, rel=1e-9)
+            assert rep.G == pytest.approx(single.G, rel=1e-9)
+            assert rep.bound == pytest.approx(single.bound, rel=1e-9)
+            cold = solve_dc(c, CUBE_LAW, v)
+            for n in c.internal_nodes():
+                assert sol.potentials[n] / v == pytest.approx(
+                    cold.potentials[n] / v, rel=1e-9, abs=1e-15)
+
+
 class TestLeadingTermAgreement:
     def test_reference_bridge_quadratic_decay(self):
         res = leading_term_check(FIG_A1, CUBE_LAW, [1e-1, 1e-2, 1e-3])
@@ -192,6 +213,11 @@ class TestSeriesCoefficients:
             b1, _ = extract_series_coeffs(c, f)
             assert b1 == pytest.approx(alpha_solve(c, 1.0).phi, abs=1e-4)
 
+    def test_fewer_points_than_exponents_rejected(self):
+        # one point used to return an underdetermined fit without complaint
+        with pytest.raises(ValueError, match="cannot fit"):
+            extract_series_coeffs(FIG_A1, CUBE_LAW, points=1)
+
     def test_close_exponents_rejected_as_ill_conditioned(self):
         with pytest.raises(ValueError, match="ill-conditioned"):
             extract_series_coeffs(FIG_A1, CUBE_LAW, exponents=(1.0, 1.0 + 1e-9))
@@ -216,6 +242,17 @@ class TestIntermediateValues:
         sol = solve_dc(FIG_A1, CUBE_LAW, 1e3)
         assert sol.potentials["o"] / 1e3 == pytest.approx(
             fig_a1_divider_ratio(3.0), abs=1e-4)
+
+    def test_growth_coefficient_rejects_unknown_node(self):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            d_growth_coefficient(FIG_A1, CUBE_LAW, "zz", 1e-3)
+
+    def test_unsorted_grid_keeps_grid_order(self):
+        grid = [1.0, 1e-3, 10.0]
+        res = intermediate_value_check(FIG_A1, CUBE_LAW, grid)
+        for v, d_o in zip(grid, res.d_values["o"]):
+            assert d_o == pytest.approx(solve_dc(FIG_A1, CUBE_LAW, v).potentials["o"] / v,
+                                        rel=1e-12)
 
     def test_requires_two_terms(self):
         with pytest.raises(ValueError):
@@ -264,7 +301,7 @@ class TestParallelBranchEffect:
             c = random_connected_circuit(rng, max_internal=4)
             f = Characteristic(((1.0, 1.0), (1.0, 3.0)))
             base = report(c, f, 1.0)
-            plus = report(c.with_extra_branch("a", "b"), f, 1.0)
+            plus = report(Circuit(c.branches + (Branch("a", "b"),), c.input_port), f, 1.0)
             assert abs(plus.F - plus.G) == pytest.approx(
                 abs(base.F - base.G), rel=1e-9, abs=1e-12)
             assert plus.F > base.F
