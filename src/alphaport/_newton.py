@@ -25,6 +25,12 @@ applies plain full Newton steps, which walk the accuracy boundary down the
 chain a few orders of magnitude per pass (iterative refinement), keeping
 the best iterate seen.
 
+Each step solves with the Jacobian object of network.py, a symmetric
+block-tridiagonal matrix over breadth-first level blocks of the unknowns,
+by block elimination; a network small enough to be one block is one dense
+solve.  Equations with a zero diagonal are pinned to a zero step, and a
+system that is still singular gets an escalating multiplicative ridge.
+
 Sublinear laws add kinks (unbounded slope at zero drop) that quantize the
 line search; a coordinate-descent polish of the remaining unconverged
 equations — exact one-dimensional bisections, immune to the kinks —
@@ -104,26 +110,26 @@ def _scaled_inf(r: np.ndarray, tol: np.ndarray) -> float:
     return float(np.max(np.abs(r) / np.maximum(tol, TINY)))
 
 
-def _solve_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _solve_step(J, r: np.ndarray) -> np.ndarray:
+    """Newton step -J^{-1} r for the network's block matrix J.
+
+    J is a ``network.BlockTridiagonal``: it gives its diagonal, pinned and
+    ridged copies, and solves by block elimination.
+    """
     # Zero-diagonal rows belong to equations whose every incident slope
     # vanished (superlinear laws across dead limbs); they carry no usable
     # information, so pin them to a zero step instead of perturbing the
     # whole system, which would wreck the conditioning of the live
     # small-slope equations.
-    diag = np.abs(np.diag(J))
+    diag = np.abs(J.diagonal())
     dead = (diag == 0.0) | ~np.isfinite(diag)
     rhs = -r
     if np.any(dead):
-        J = J.copy()
-        rhs = rhs.copy()
-        J[dead, :] = 0.0
-        J[:, dead] = 0.0
-        idx = np.where(dead)[0]
-        J[idx, idx] = 1.0
-        rhs[idx] = 0.0
-        diag = np.abs(np.diag(J))
+        J = J.pinned(dead)
+        rhs = np.where(dead, 0.0, rhs)
+        diag = np.abs(J.diagonal())
     try:
-        step = np.linalg.solve(J, rhs)
+        step = J.solve(rhs)
         if np.all(np.isfinite(step)):
             return step
     except np.linalg.LinAlgError:
@@ -133,9 +139,7 @@ def _solve_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     # the small ones).
     for k in range(-14, 1):
         try:
-            ridged = J.copy()
-            ridged[np.diag_indices_from(ridged)] += diag * 10.0**k
-            step = np.linalg.solve(ridged, rhs)
+            step = J.ridged(diag * 10.0**k).solve(rhs)
             if np.all(np.isfinite(step)):
                 return step
         except np.linalg.LinAlgError:
@@ -205,11 +209,12 @@ def damped_newton(x0, residual, jacobian, objective, tolerances, abs_tol: float,
     """Drive every |r_i| below max(tol_i, TINY).
 
     residual/jacobian/objective/tolerances are callables of the iterate;
-    ``tolerances`` returns the per-equation absolute target, typically a
-    capped relative share of the local flow plus a representation-roundoff
-    floor.  ``abs_tol`` only gates the refinement phase (it must start from
-    an absolutely converged iterate).  The outcome reports
-    ``converged=False`` when tolerance cannot be met within the budget.
+    ``jacobian`` returns a ``network.BlockTridiagonal`` and ``tolerances``
+    the per-equation absolute target, typically a capped relative share of
+    the local flow plus a representation-roundoff floor.  ``abs_tol`` only
+    gates the refinement phase (it must start from an absolutely converged
+    iterate).  The outcome reports ``converged=False`` when tolerance
+    cannot be met within the budget.
     """
     x = np.array(x0, dtype=float, copy=True)
     if x.size == 0:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characteristic import Characteristic
 from .circuit import Circuit
-from .solver import SolverError, solve_dc
+from .solver import SolverError, _nodal_network, _solve
 
 __all__ = [
     "AlphaProfile",
@@ -70,18 +72,26 @@ def alpha_solve(c: Circuit, alpha: float,
 
     ``warm`` seeds the Newton iteration with known ratios, which sweeps and
     continuation toward large alpha use to stay in the convergence basin.
+    The circuit is validated and its network built once for the whole
+    continuation.
     """
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha}")
+    nodal = _nodal_network(c)
     start = warm
     if warm is None and alpha > _CONTINUATION_START:
         step = _CONTINUATION_START
         while step < alpha:
-            start = alpha_solve(c, step, warm=start).d
+            start = _profile(c, step, nodal, start).d
             step *= 2.0
+    return _profile(c, alpha, nodal, start)
 
-    f = Characteristic(((1.0, alpha),))
-    sol = solve_dc(c, f, 1.0, initial_potentials=start)
+
+def _profile(c: Circuit, alpha: float, nodal,
+             start: dict[str, float] | None) -> AlphaProfile:
+    """``alpha_solve`` on a prepared ``_nodal_network``, from ratios ``start``."""
+    x0 = None if start is None else np.array([float(start.get(n, 0.0)) for n in nodal[1]])
+    sol = _solve(c, Characteristic(((1.0, alpha),)), 1.0, nodal, x0)
     d = {n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()}
 
     phi_ground = _phi_sum(c, d, alpha, at_ground=True)

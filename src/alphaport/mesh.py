@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 # A Cholesky pivot at or below this share of its diagonal marks a loop
-# dependent on the earlier ones: roundoff leaves such a pivot near EPS,
-# while independent loops of any practical basis keep it near 1/n or above.
+# dependent on the ones eliminated before it (in Network.blocks order):
+# roundoff leaves such a pivot near EPS, while independent loops of any
+# practical basis keep it near 1/n or above.
 DEPENDENT_PIVOT = float(np.sqrt(EPS))
 
 
@@ -118,10 +119,9 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
     net = Network(n, rows[loop], cols[loop], signs[loop] / w[rows[loop]], s, w)
     # the loops are independent iff the linear-start Gram matrix is
     # positive definite; a dependent set leaves a pivot at roundoff level
-    gram = net.gram(w)
+    gram = net.linear_gram
     try:
-        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
-        independent = bool(np.all(pivots > DEPENDENT_PIVOT * np.diag(gram)))
+        independent = bool(np.all(gram.cholesky_pivots() > DEPENDENT_PIVOT * gram.diagonal()))
     except np.linalg.LinAlgError:
         independent = False
     if not independent:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from alphaport import Branch, Characteristic, Circuit
+from alphaport import Branch, Characteristic, Circuit, Mesh
 
 
 def random_connected_circuit(rng: random.Random, max_internal: int = 6,
@@ -31,3 +31,45 @@ def random_characteristic(rng: random.Random, max_terms: int = 3) -> Characteris
     n_terms = rng.randint(1, max_terms)
     exponents = rng.sample((0.5, 1.0, 1.5, 2.0, 3.0, 4.0), n_terms)
     return Characteristic(tuple((rng.uniform(0.3, 3.0), a) for a in exponents))
+
+
+def square_grid(n: int, prefix: str = "g", port: tuple[str, str] = ("a", "b")) -> Circuit:
+    """n x n grid of unit conductors with the port at opposite corners.
+
+    Carries its planar face basis: the source loop runs along the top row
+    and down the right column, each face clockwise.
+    """
+    def node(i: int, j: int) -> str:
+        corner = {(0, 0): port[0], (n - 1, n - 1): port[1]}
+        return corner.get((i, j), f"{prefix}{i}_{j}")
+
+    edges = [(node(i, j), node(i, j + 1)) for i in range(n) for j in range(n - 1)]
+    edges += [(node(i, j), node(i + 1, j)) for i in range(n - 1) for j in range(n)]
+    index = {edge: k + 1 for k, edge in enumerate(edges)}
+
+    def loop(path: list[str]) -> tuple[int, ...]:
+        return tuple(index[(u, v)] if (u, v) in index else -index[(v, u)]
+                     for u, v in zip(path, path[1:]))
+
+    meshes = [Mesh("source", loop([node(0, j) for j in range(n)]
+                                  + [node(i, n - 1) for i in range(1, n)]))]
+    for i in range(n - 1):
+        for j in range(n - 1):
+            corners = [node(i, j), node(i, j + 1), node(i + 1, j + 1), node(i + 1, j)]
+            meshes.append(Mesh(f"f{i}_{j}", loop(corners + corners[:1])))
+    return Circuit(tuple(Branch(u, v) for u, v in edges), port, meshes=tuple(meshes))
+
+
+def random_ring_circuit(rng: random.Random, n_internal: int, max_chords: int) -> Circuit:
+    """Random multigraph: a ring through a, b and every internal node, plus chords.
+
+    The ring keeps every branch live, and few chords leave the graph long,
+    so large draws split into several level blocks.
+    """
+    ring = [f"n{i}" for i in range(1, n_internal + 1)]
+    rng.shuffle(ring)
+    ring.insert(0, "a")
+    ring.insert(rng.randrange(2, n_internal + 1), "b")
+    pairs = list(zip(ring, ring[1:] + ring[:1]))
+    pairs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randint(0, max_chords))]
+    return Circuit(tuple(Branch(u, v, rng.choice((1, 1, 2))) for u, v in pairs), ("a", "b"))

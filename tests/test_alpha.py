@@ -80,6 +80,22 @@ class TestAlphaSolve:
             prof = alpha_solve(c, rng.choice((0.5, 1.5, 3.0)))
             assert all(0.0 <= v <= 1.0 for v in prof.d.values())
 
+    def test_continuation_builds_the_network_once(self, monkeypatch):
+        import alphaport.alpha as alpha_module
+        builds = []
+        build = alpha_module._nodal_network
+        monkeypatch.setattr(alpha_module, "_nodal_network",
+                            lambda c: builds.append(c) or build(c))
+        ladder = build_canonical("ladder", sections=15)
+        profile = alpha_solve(ladder, 64.0)
+        assert len(builds) == 1
+        # the doubling steps 8, 16, 32, each warm-starting the next
+        warm = None
+        for a in (8.0, 16.0, 32.0, 64.0):
+            chained = alpha_solve(ladder, a, warm=warm)
+            warm = chained.d
+        assert profile == chained
+
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ValueError):
             alpha_solve(FIG_A1, 0.0)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_connected_circuit
+from conftest import random_connected_circuit, random_ring_circuit, square_grid
 
 import alphaport
-from alphaport import Characteristic, build_canonical
+from alphaport import Branch, Characteristic, Circuit, build_canonical, solve_dc
+from alphaport._newton import _solve_step
 from alphaport.mesh import _loop_network
 from alphaport.solver import _nodal_network
 
@@ -35,8 +36,34 @@ def fig_b1_loops():
     return _loop_network(c, c.meshes)[0]
 
 
-NETWORKS = pytest.mark.parametrize("build", [fig_a1_nodal, random_nodal, fig_b1_loops],
-                                   ids=["fig_a1", "random", "fig_b1"])
+def grid20_nodal():
+    # 398 unknowns in several level blocks
+    return _nodal_network(square_grid(20))[0]
+
+
+def grid20_loops():
+    # 361 face loops; the source loop runs along the boundary
+    c = square_grid(20)
+    return _loop_network(c, c.meshes)[0]
+
+
+def ring_nodal():
+    # seeded ring-with-chords multigraph, 100 unknowns
+    return _nodal_network(random_ring_circuit(random.Random(3), 100, 12))[0]
+
+
+def parallel_grids_nodal():
+    # two 8x8 grids across the same port: two components of 62 unknowns
+    halves = (square_grid(8, prefix=p) for p in ("g", "h"))
+    return _nodal_network(Circuit(sum((c.branches for c in halves), ()), ("a", "b")))[0]
+
+
+NETWORKS = pytest.mark.parametrize("build", [fig_a1_nodal, random_nodal, fig_b1_loops,
+                                             grid20_nodal],
+                                   ids=["fig_a1", "random", "fig_b1", "grid20"])
+MULTI_BLOCK = pytest.mark.parametrize(
+    "build", [grid20_nodal, grid20_loops, ring_nodal, parallel_grids_nodal],
+    ids=["grid20", "grid20_loops", "ring", "parallel_grids"])
 
 
 def probe_point(net):
@@ -70,8 +97,12 @@ def test_jacobian_is_symmetric_derivative_of_residual(build):
     residual, jacobian, _, _ = net.equations(LAW, DRIVE)
     x = probe_point(net)
     J = jacobian(x)
-    np.testing.assert_array_equal(J, J.T)
-    np.testing.assert_allclose(J, central_difference(residual, x), rtol=1e-6, atol=1e-8)
+    Jfd = central_difference(residual, x)
+    np.testing.assert_allclose(J.diagonal(), np.diag(Jfd), rtol=1e-6, atol=1e-8)
+    # J is symmetric by construction (its upper blocks are L_k^T), so it
+    # inverts the difference quotient only if every block matches
+    v = np.random.default_rng(3).standard_normal(net.n)
+    np.testing.assert_allclose(J.solve(Jfd @ v), v, rtol=1e-6, atol=1e-6)
 
 
 @NETWORKS
@@ -80,6 +111,130 @@ def test_linear_start_solves_linear_system(build):
     residual = net.equations(LINEAR, DRIVE)[0]
     x = net.linear_start(DRIVE)
     assert np.max(np.abs(residual(x))) <= 1e-14 * DRIVE * net.w.sum()
+
+
+def dense_matrix(net, g):
+    """A^T diag(g) A assembled densely, entry pair by entry pair of each row of A."""
+    J = np.zeros((net.n + 1, net.n + 1))
+    for row, index, value in zip(range(net.w.size), net.index, net.value):
+        np.add.at(J, (index[:, None], index[None, :]), g[row] * np.outer(value, value))
+    return J[:net.n, :net.n]
+
+
+@MULTI_BLOCK
+def test_level_blocks_partition_unknowns_and_couple_only_neighbours(build):
+    net = build()
+    assert len(net.blocks) > 1
+    assert all(np.all(np.diff(b) > 0) for b in net.blocks)
+    np.testing.assert_array_equal(np.sort(np.concatenate(net.blocks)), np.arange(net.n))
+    block_of = np.zeros(net.n + 1, dtype=int)
+    for k, members in enumerate(net.blocks):
+        block_of[members] = k
+    blocks = np.where(net.index < net.n, block_of[net.index], -1)
+    spread = blocks.max(axis=1) - np.where(blocks >= 0, blocks, len(net.blocks)).min(axis=1)
+    assert spread.max() <= 1
+
+
+def test_small_network_is_one_block():
+    net = _nodal_network(build_canonical("ladder", sections=15))[0]
+    assert net.n == 30
+    assert len(net.blocks) == 1
+    np.testing.assert_array_equal(net.blocks[0], np.arange(net.n))
+
+
+@MULTI_BLOCK
+def test_block_solve_matches_dense_solve(build):
+    net = build()
+    rng = np.random.default_rng(5)
+    g = net.w * rng.uniform(0.5, 2.0, net.w.size)
+    r = rng.standard_normal(net.n)
+    dense = dense_matrix(net, g)
+    J = net.gram(g)
+    np.testing.assert_allclose(J.diagonal(), np.diag(dense), rtol=1e-14)
+    x, ref = J.solve(r), np.linalg.solve(dense, r)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # Cholesky pivots in block order, each at its unknown
+    order = np.concatenate(net.blocks)
+    pivots = np.diag(np.linalg.cholesky(dense[np.ix_(order, order)])) ** 2
+    np.testing.assert_allclose(J.cholesky_pivots()[order], pivots, rtol=1e-12)
+
+
+def dense_step(J, r):
+    """The Newton step of the dense solver that block elimination replaced."""
+    diag = np.abs(np.diag(J))
+    dead = (diag == 0.0) | ~np.isfinite(diag)
+    J, rhs = J.copy(), -r
+    J[dead, :] = 0.0
+    J[:, dead] = 0.0
+    J[dead, dead] = 1.0
+    rhs[dead] = 0.0
+    diag = np.abs(np.diag(J))
+    for ridge in [0.0] + [10.0**k for k in range(-14, 1)]:
+        try:
+            step = np.linalg.solve(J + np.diag(diag * ridge), rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(step)):
+            return step
+    return rhs
+
+
+def test_pinned_and_ridged_step_matches_dense_step():
+    c = square_grid(20)
+    net, internal = _nodal_network(c)[:2]
+    unknown = {name: i for i, name in enumerate(internal)}
+    block_of = np.zeros(net.n + 1, dtype=int)
+    for k, members in enumerate(net.blocks):
+        block_of[members] = k
+    dead = unknown["g10_10"]  # every incident slope zero: pinned
+    p, q = unknown["g5_5"], unknown["g5_6"]  # joined only to each other: singular
+    touches = lambda k: np.any(net.index == k, axis=1)  # noqa: E731
+    g = net.w.copy()
+    g[touches(dead) | touches(p) | touches(q)] = 0.0
+    g[touches(p) & touches(q)] = 1.0
+    # an infinite slope on a branch across two blocks: both ends pinned
+    across = np.flatnonzero((net.index.max(axis=1) < net.n)
+                            & (block_of[net.index[:, 0]] != block_of[net.index[:, 1]])
+                            & ~touches(dead) & ~touches(p) & ~touches(q))[0]
+    g[across] = np.inf
+    J = net.gram(g)
+    r = np.random.default_rng(9).standard_normal(net.n)
+    r[[p, q]] = 0.0
+    assert J.diagonal()[dead] == 0.0
+    pinned = (J.diagonal() == 0.0) | ~np.isfinite(J.diagonal())
+    assert pinned.sum() == 3
+    with pytest.raises(np.linalg.LinAlgError):
+        J.pinned(pinned).solve(-r)
+    step, ref = _solve_step(J, r), dense_step(dense_matrix(net, g), r)
+    assert np.all(step[pinned] == 0.0)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_large_grid_satisfies_kcl():
+    c = square_grid(60)
+    law = Characteristic(((1.0, 1.0), (1.0, 3.0)))
+    sol = solve_dc(c, law, 1.0)
+    assert len(_nodal_network(c)[0].blocks) > 1
+    net_flow = {n: 0.0 for n in c.nodes}
+    gross = {n: 0.0 for n in c.nodes}
+    for br in c.branches:
+        i = br.w * law.eval_signed(sol.potentials[br.n1] - sol.potentials[br.n2])
+        net_flow[br.n1] -= i
+        net_flow[br.n2] += i
+        gross[br.n1] += abs(i)
+        gross[br.n2] += abs(i)
+    for n in c.nodes - set(c.input_port):
+        assert abs(net_flow[n]) <= 1e-10 * gross[n]
+    assert net_flow["b"] == pytest.approx(sol.input_current, rel=1e-12)
+
+
+def test_graded_multi_block_sweep_converges():
+    # deep sections of a 40-section ladder at large exponents have slopes
+    # down to subnormal: unscaled block elimination overflows on them
+    c = build_canonical("ladder", sections=40)
+    assert len(_nodal_network(c)[0].blocks) > 1
+    sweep = alphaport.d_sweep(c, np.geomspace(0.3, 64.0, 6))
+    assert sweep.phis[-1] == pytest.approx(2.9123240587562523e-31, rel=1e-9)
 
 
 def test_import_loads_no_scipy():
