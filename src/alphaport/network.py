@@ -194,11 +194,11 @@ class BlockTridiagonal:
         """The solution x of J x = r by block elimination (block Thomas).
 
         Each Schur complement S_k is solved once against [L_k^T | y_k];
-        raises ``np.linalg.LinAlgError`` when one is singular.  One block
-        is one dense solve.
+        raises ``np.linalg.LinAlgError`` when one is singular.
         """
-        n = self.net.n
         if len(self.net.blocks) == 1:
+            # no couplings to eliminate: one dense LU with partial pivoting
+            n = self.net.n
             return np.linalg.solve(self.cells.reshape(n, n), r)
         d, low = self._blocks()
         perm, slices = self.net._block_order, self.net._block_slices

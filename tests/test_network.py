@@ -11,7 +11,7 @@ import pytest
 from conftest import random_connected_circuit, random_ring_circuit, square_grid
 
 import alphaport
-from alphaport import Branch, Characteristic, Circuit, build_canonical, solve_dc
+from alphaport import Characteristic, Circuit, build_canonical, solve_dc
 from alphaport._newton import _solve_step
 from alphaport.mesh import _loop_network
 from alphaport.solver import _nodal_network
@@ -116,9 +116,17 @@ def test_linear_start_solves_linear_system(build):
 def dense_matrix(net, g):
     """A^T diag(g) A assembled densely, entry pair by entry pair of each row of A."""
     J = np.zeros((net.n + 1, net.n + 1))
-    for row, index, value in zip(range(net.w.size), net.index, net.value):
+    for row, (index, value) in enumerate(zip(net.index, net.value)):
         np.add.at(J, (index[:, None], index[None, :]), g[row] * np.outer(value, value))
     return J[:net.n, :net.n]
+
+
+def block_of(net):
+    """Level block of each unknown, and -1 for the sentinel column n."""
+    out = np.full(net.n + 1, -1)
+    for k, members in enumerate(net.blocks):
+        out[members] = k
+    return out
 
 
 @MULTI_BLOCK
@@ -127,10 +135,7 @@ def test_level_blocks_partition_unknowns_and_couple_only_neighbours(build):
     assert len(net.blocks) > 1
     assert all(np.all(np.diff(b) > 0) for b in net.blocks)
     np.testing.assert_array_equal(np.sort(np.concatenate(net.blocks)), np.arange(net.n))
-    block_of = np.zeros(net.n + 1, dtype=int)
-    for k, members in enumerate(net.blocks):
-        block_of[members] = k
-    blocks = np.where(net.index < net.n, block_of[net.index], -1)
+    blocks = block_of(net)[net.index]
     spread = blocks.max(axis=1) - np.where(blocks >= 0, blocks, len(net.blocks)).min(axis=1)
     assert spread.max() <= 1
 
@@ -183,9 +188,6 @@ def test_pinned_and_ridged_step_matches_dense_step():
     c = square_grid(20)
     net, internal = _nodal_network(c)[:2]
     unknown = {name: i for i, name in enumerate(internal)}
-    block_of = np.zeros(net.n + 1, dtype=int)
-    for k, members in enumerate(net.blocks):
-        block_of[members] = k
     dead = unknown["g10_10"]  # every incident slope zero: pinned
     p, q = unknown["g5_5"], unknown["g5_6"]  # joined only to each other: singular
     touches = lambda k: np.any(net.index == k, axis=1)  # noqa: E731
@@ -193,8 +195,8 @@ def test_pinned_and_ridged_step_matches_dense_step():
     g[touches(dead) | touches(p) | touches(q)] = 0.0
     g[touches(p) & touches(q)] = 1.0
     # an infinite slope on a branch across two blocks: both ends pinned
-    across = np.flatnonzero((net.index.max(axis=1) < net.n)
-                            & (block_of[net.index[:, 0]] != block_of[net.index[:, 1]])
+    blocks = block_of(net)[net.index]
+    across = np.flatnonzero((blocks.min(axis=1) >= 0) & (blocks[:, 0] != blocks[:, 1])
                             & ~touches(dead) & ~touches(p) & ~touches(q))[0]
     g[across] = np.inf
     J = net.gram(g)
