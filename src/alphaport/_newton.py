@@ -78,14 +78,17 @@ DEFAULT_MAX_ITERS = 200
 
 
 def max_iterations() -> int:
-    """Iteration cap: ALPHAPORT_MAX_ITERS, else 200."""
+    """Iteration cap: ALPHAPORT_MAX_ITERS (a positive integer), else 200."""
     env = os.environ.get(MAX_ITERS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_ITERS_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_ITERS
+    if not env:
+        return DEFAULT_MAX_ITERS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{MAX_ITERS_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characteristic import Characteristic
 from .circuit import Circuit
-from .solver import SolverError, _nodal_network, _solve
+from .solver import _chain, _nodal_network
 
 __all__ = [
     "AlphaProfile",
@@ -52,56 +50,34 @@ class DSweep:
     verdicts: dict[str, str]  # "nondecreasing" | "nonincreasing" | "violation"
 
 
-def _phi_sum(c: Circuit, d: dict[str, float], alpha: float, at_ground: bool) -> float:
-    a, b = c.input_port
-    total = 0.0
-    for br in c.branches:
-        ends = (br.n1, br.n2)
-        if at_ground and b in ends:
-            other = ends[0] if ends[1] == b else ends[1]
-            total += br.w * max(d[other], 0.0) ** alpha
-        elif not at_ground and a in ends:
-            other = ends[0] if ends[1] == a else ends[1]
-            total += br.w * max(1.0 - d[other], 0.0) ** alpha
-    return total
-
-
-def alpha_solve(c: Circuit, alpha: float,
-                warm: dict[str, float] | None = None) -> AlphaProfile:
+def alpha_solve(c: Circuit, alpha: float) -> AlphaProfile:
     """Profile of the alpha-realization (solved at unit drive).
 
-    ``warm`` seeds the Newton iteration with known ratios, which sweeps and
-    continuation toward large alpha use to stay in the convergence basin.
-    The circuit is validated and its network built once for the whole
-    continuation.
+    The one-exponent case of ``_exponent_chain``.
     """
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    nodal = _nodal_network(c)
-    start = warm
-    if warm is None and alpha > _CONTINUATION_START:
-        step = _CONTINUATION_START
-        while step < alpha:
-            start = _profile(c, step, nodal, start).d
-            step *= 2.0
-    return _profile(c, alpha, nodal, start)
+    return _exponent_chain(c, (float(alpha),))[0]
 
 
-def _profile(c: Circuit, alpha: float, nodal,
-             start: dict[str, float] | None) -> AlphaProfile:
-    """``alpha_solve`` on a prepared ``_nodal_network``, from ratios ``start``."""
-    x0 = None if start is None else np.array([float(start.get(n, 0.0)) for n in nodal[1]])
-    sol = _solve(c, Characteristic(((1.0, alpha),)), 1.0, nodal, x0)
-    d = {n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()}
+def _exponent_chain(c: Circuit, alphas: tuple[float, ...]) -> list[AlphaProfile]:
+    """Profiles at the ascending exponents ``alphas``, on one network.
 
-    phi_ground = _phi_sum(c, d, alpha, at_ground=True)
-    phi_driven = _phi_sum(c, d, alpha, at_ground=False)
-    # the sums differ by the telescoped internal imbalances at most
-    allowance = sol.residual_sum + 1e-9 * max(1.0, phi_ground)
-    if abs(phi_ground - phi_driven) > allowance:
-        raise SolverError(
-            f"phi differs between terminals ({phi_ground!r} vs {phi_driven!r})")
-    return AlphaProfile(alpha=float(alpha), d=d, phi=float(phi_ground))
+    One ``solver._chain`` at unit drive and unit coefficient: the doubling
+    steps 8, 16, ... below a first exponent above 8, then ``alphas``, each
+    warm-started from the step before.  phi is the input current.
+    """
+    bad = next((a for a in alphas if not a > 0.0), None)
+    if bad is not None:
+        raise ValueError(f"alpha must be positive, got {bad}")
+    steps = []
+    step = _CONTINUATION_START
+    while step < alphas[0]:
+        steps.append(step)
+        step *= 2.0
+    laws = [(Characteristic(((1.0, a),)), 1.0) for a in steps + list(alphas)]
+    solutions = _chain(c, _nodal_network(c), laws)[len(steps):]
+    return [AlphaProfile(alpha=a, d={n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()},
+                         phi=sol.input_current)
+            for a, sol in zip(alphas, solutions)]
 
 
 def phi_closed_form_fig_a1(alpha: float) -> float:
@@ -124,15 +100,8 @@ def d_sweep(c: Circuit, alphas) -> DSweep:
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
 
-    series: dict[str, list[float]] = {n: [] for n in c.nodes}
-    phis: list[float] = []
-    warm = None
-    for a in alphas:
-        prof = alpha_solve(c, a, warm=warm)
-        warm = prof.d
-        phis.append(prof.phi)
-        for n in c.nodes:
-            series[n].append(prof.d[n])
+    profiles = _exponent_chain(c, alphas)
+    series = {n: tuple(prof.d[n] for prof in profiles) for n in c.nodes}
 
     verdicts: dict[str, str] = {}
     for n, vals in series.items():
@@ -143,9 +112,8 @@ def d_sweep(c: Circuit, alphas) -> DSweep:
             verdicts[n] = "nonincreasing"
         else:
             verdicts[n] = "violation"
-    return DSweep(alphas=alphas, phis=tuple(phis),
-                  d={n: tuple(vals) for n, vals in series.items()},
-                  verdicts=verdicts)
+    return DSweep(alphas=alphas, phis=tuple(prof.phi for prof in profiles),
+                  d=series, verdicts=verdicts)
 
 
 def hardlimiter_limit(c: Circuit) -> dict[str, float]:
@@ -156,13 +124,7 @@ def hardlimiter_limit(c: Circuit) -> dict[str, float]:
     extrapolation, with the 64 run as the fallback where the increments
     have already vanished.
     """
-    profiles = []
-    warm = None
-    for a in (16.0, 32.0, 64.0):
-        prof = alpha_solve(c, a, warm=warm)
-        warm = prof.d
-        profiles.append(prof)
-    p16, p32, p64 = (p.d for p in profiles)
+    p16, p32, p64 = (p.d for p in _exponent_chain(c, (16.0, 32.0, 64.0)))
 
     limit: dict[str, float] = {}
     for n in c.nodes:

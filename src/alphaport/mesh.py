@@ -30,7 +30,7 @@ import numpy as np
 from ._newton import EPS, damped_newton, max_iterations
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh, validate
-from .network import Network
+from .network import Network, _check_drive
 from .solver import SolverError
 
 __all__ = [
@@ -138,8 +138,7 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     parallel elements.  The input voltage is collected around the source
     loop.  The co-energy (integral of f over current) is the convex merit.
     """
-    if not (i_in > 0.0):
-        raise ValueError(f"i_in must be positive, got {i_in}")
+    _check_drive(f_resistive, i_in, "i_in")
     basis = tuple(basis) if basis is not None else c.meshes
     if not basis:
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")

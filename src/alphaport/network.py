@@ -25,12 +25,13 @@ dense block.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from ._newton import EPS, NOISE_MULT, REL_TOL
+from ._newton import EPS, NOISE_MULT, REL_TOL, TINY
 from .characteristic import Characteristic
 
 __all__ = ["BlockTridiagonal", "Network"]
@@ -44,6 +45,25 @@ TINY_SCALE = 1e-300
 # Fewest unknowns in a level block: merged levels amortize numpy's
 # per-call cost on each block's dense solve.
 MIN_BLOCK = 32
+
+
+def _check_drive(f: Characteristic, u: float, name: str) -> None:
+    """Reject a drive u whose flow scale f(u) the solver cannot resolve.
+
+    The tolerances are shares of f(u): it must be finite, and REL_TOL * f(u)
+    must not fall below TINY, where every residual would count as converged.
+    """
+    if not u > 0.0:
+        raise ValueError(f"{name} must be positive, got {u}")
+    try:
+        scale = f(u)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"{name} = {u:g} is too large: the law's current there overflows")
+    if REL_TOL * scale < TINY:
+        raise ValueError(f"{name} = {u:g} is too small: the law's current there, "
+                         f"{scale:.3g}, is below what the solver resolves")
 
 
 def _currents(f: Characteristic, y: np.ndarray) -> np.ndarray:

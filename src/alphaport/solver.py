@@ -24,7 +24,7 @@ import numpy as np
 from ._newton import EPS, REL_TOL, damped_newton, max_iterations
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, validate
-from .network import Network
+from .network import Network, _check_drive
 
 __all__ = [
     "SolverError",
@@ -238,44 +238,47 @@ def _nodal_network(c: Circuit) -> tuple[Network, list[str], list[tuple[str, str]
     return net, internal, dead_assignments, live
 
 
-def solve_dc(c: Circuit, f: Characteristic, v_in: float,
-             initial_potentials: dict[str, float] | None = None) -> DcSolution:
+def solve_dc(c: Circuit, f: Characteristic, v_in: float) -> DcSolution:
     """Solve KCL at every internal node for the given drive voltage.
 
-    The iteration starts from the unit-conductance linear solution unless
-    ``initial_potentials`` provides a warm start (useful for continuation
-    toward large exponents).
+    The one-drive case of ``solve_grid``: the iteration starts from the
+    unit-conductance linear solution.
     """
-    if not (v_in > 0.0):
-        raise ValueError(f"v_in must be positive, got {v_in}")
-    nodal = _nodal_network(c)
-    x0 = None if initial_potentials is None else (
-        np.array([float(initial_potentials.get(n, 0.0)) for n in nodal[1]]))
-    return _solve(c, f, v_in, nodal, x0)
+    return solve_grid(c, f, (v_in,))[0]
 
 
 def solve_grid(c: Circuit, f: Characteristic, grid) -> tuple[DcSolution, ...]:
     """``solve_dc`` at every drive of ``grid``, returned in grid order.
 
-    The circuit is validated and its network built once.  Drives are
-    solved in ascending order, each warm-started from the previous
-    solution scaled by the drive ratio.
+    Every drive is checked before any solve.  The circuit is validated and
+    its network built once, and the drives are solved in ascending order
+    by ``_chain``.
     """
     drives = [float(v) for v in grid]
     if not drives:
         raise ValueError("drive grid is empty")
-    bad = next((v for v in drives if not v > 0.0), None)
-    if bad is not None:
-        raise ValueError(f"v_in must be positive, got {bad}")
-    nodal = _nodal_network(c)
-    solutions: dict[int, DcSolution] = {}
-    prev = None
-    for i in sorted(range(len(drives)), key=drives.__getitem__):
-        v = drives[i]
-        x0 = None if prev is None else (
-            np.array([prev.potentials[n] for n in nodal[1]]) * (v / prev.v_in))
-        prev = solutions[i] = _solve(c, f, v, nodal, x0)
-    return tuple(solutions[i] for i in range(len(drives)))
+    for v in drives:
+        _check_drive(f, v, "v_in")
+    order = sorted(range(len(drives)), key=drives.__getitem__)
+    solutions = _chain(c, _nodal_network(c), [(f, drives[i]) for i in order])
+    by_index = dict(zip(order, solutions))
+    return tuple(by_index[i] for i in range(len(drives)))
+
+
+def _chain(c: Circuit, nodal, steps) -> list[DcSolution]:
+    """Solve (law, drive) ``steps`` in order on one prepared ``_nodal_network``.
+
+    The first step starts linear; each later one is warm-started from the
+    previous potentials scaled by the drive ratio.
+    """
+    solutions: list[DcSolution] = []
+    x0 = None
+    for f, v in steps:
+        if solutions:
+            prev = solutions[-1]
+            x0 = np.array([prev.potentials[n] for n in nodal[1]]) * (v / prev.v_in)
+        solutions.append(_solve(c, f, v, nodal, x0))
+    return solutions
 
 
 def _solve(c: Circuit, f: Characteristic, v_in: float, nodal,

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import alphaport.alpha as alpha_module
 from alphaport import (
     Characteristic,
     alpha_solve,
@@ -43,6 +44,15 @@ def linear_input_conductance(c):
     return float(-lap[idx[b], :] @ p)  # current collected at ground
 
 
+def count_network_builds(monkeypatch) -> list:
+    """Record every ``_nodal_network`` build made through alpha.py."""
+    builds = []
+    build = alpha_module._nodal_network
+    monkeypatch.setattr(alpha_module, "_nodal_network",
+                        lambda c: builds.append(c) or build(c))
+    return builds
+
+
 class TestAlphaSolve:
     def test_linear_profile_of_reference_bridge(self):
         prof = alpha_solve(FIG_A1, 1.0)
@@ -81,20 +91,15 @@ class TestAlphaSolve:
             assert all(0.0 <= v <= 1.0 for v in prof.d.values())
 
     def test_continuation_builds_the_network_once(self, monkeypatch):
-        import alphaport.alpha as alpha_module
-        builds = []
-        build = alpha_module._nodal_network
-        monkeypatch.setattr(alpha_module, "_nodal_network",
-                            lambda c: builds.append(c) or build(c))
+        builds = count_network_builds(monkeypatch)
         ladder = build_canonical("ladder", sections=15)
         profile = alpha_solve(ladder, 64.0)
         assert len(builds) == 1
         # the doubling steps 8, 16, 32, each warm-starting the next
-        warm = None
-        for a in (8.0, 16.0, 32.0, 64.0):
-            chained = alpha_solve(ladder, a, warm=warm)
-            warm = chained.d
-        assert profile == chained
+        chained = alpha_module._exponent_chain(ladder, (8.0, 16.0, 32.0, 64.0))
+        assert len(builds) == 2
+        assert [p.alpha for p in chained] == [8.0, 16.0, 32.0, 64.0]
+        assert profile == chained[-1]
 
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +162,22 @@ class TestDSweep:
         assert sweep.phis[0] == pytest.approx(1.6, abs=1e-10)
         assert sweep.phis[1] == pytest.approx(phi_closed_form_fig_a1(3.0), abs=1e-9)
 
+    def test_builds_the_network_once(self, monkeypatch):
+        builds = count_network_builds(monkeypatch)
+        d_sweep(FIG_A1, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+        assert len(builds) == 1
+
+    def test_first_exponent_above_eight_continues_like_alpha_solve(self):
+        ladder = build_canonical("ladder", sections=15)
+        sweep = d_sweep(ladder, [20.0, 40.0])
+        profile = alpha_solve(ladder, 20.0)
+        assert sweep.phis[0] == profile.phi
+        assert {n: vals[0] for n, vals in sweep.d.items()} == profile.d
+
+    def test_nonpositive_exponent_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            d_sweep(FIG_A1, [-1.0, 2.0])
+
 
 class TestHardlimiterLimit:
     def test_reference_bridge_divider_approaches_half(self):
@@ -171,3 +192,8 @@ class TestHardlimiterLimit:
         limit = hardlimiter_limit(FIG4)
         assert limit["c"] == pytest.approx(2.0 / 3.0, abs=1e-6)
         assert limit["d"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+    def test_builds_the_network_once(self, monkeypatch):
+        builds = count_network_builds(monkeypatch)
+        hardlimiter_limit(FIG_A1)
+        assert len(builds) == 1

@@ -211,6 +211,28 @@ class TestExitCodes:
                                "--f", "1:1,1:3", "--vin", "1")
         assert code == 2 and "solver failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--canonical", "fig_a1", "--f", "1:3", "--vin", "inf"),
+        ("mesh", "--canonical", "fig_b1", "--f", "1:1", "--iin", "inf"),
+        ("analyze", "--canonical", "fig_a1", "--f", "1:1,1:3", "--vin", "1e150"),
+        ("analyze", "--canonical", "fig_a1", "--f", "1:64", "--vin", "1e-6"),
+        ("analyze", "--canonical", "fig_a1", "--f", "1:5", "--vin", "1e-60"),
+        ("superpose", "--canonical", "fig_a1", "--f", "1:64", "--vin", "1e-6"),
+        ("mesh", "--canonical", "fig_b1", "--f", "1:64", "--iin", "1e-6"),
+    ], ids=["analyze-inf", "mesh-inf", "analyze-overflow", "analyze-v64-underflow",
+            "analyze-v5-below-tiny", "superpose-underflow", "mesh-underflow"])
+    def test_unresolvable_drive_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and ("too large" in err or "too small" in err)
+
+    @pytest.mark.parametrize("cap", ["-3", "0", "2.5"])
+    def test_iteration_cap_must_be_a_positive_integer(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("ALPHAPORT_MAX_ITERS", cap)
+        code, _, err = run_cli(capsys, "analyze", "--canonical", "fig_a1",
+                               "--f", "1:3", "--vin", "1")
+        assert code == 1 and "ALPHAPORT_MAX_ITERS must be a positive integer" in err
+
     def test_iteration_cap_env_override_works_when_ample(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "150")
         code, out, _ = run_cli(capsys, "superpose", "--canonical", "fig_a1",

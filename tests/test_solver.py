@@ -15,7 +15,7 @@ from alphaport import (
     solve_dc,
     solve_grid,
 )
-from alphaport.solver import _live_split
+from alphaport.solver import _live_split, _nodal_network, _solve
 from conftest import random_characteristic, random_connected_circuit
 
 CUBE_LAW = Characteristic(((1.0, 1.0), (1.0, 3.0)))
@@ -115,9 +115,11 @@ class TestSolutionProperties:
     def test_unique_solution_from_random_restarts(self):
         rng = random.Random(7)
         reference = solve_dc(FIG_A1, CUBE_LAW, 1.0)
+        nodal = _nodal_network(FIG_A1)
         for _ in range(5):
             start = {n: rng.uniform(0.0, 1.0) for n in FIG_A1.internal_nodes()}
-            sol = solve_dc(FIG_A1, CUBE_LAW, 1.0, initial_potentials=start)
+            x0 = np.array([start[n] for n in nodal[1]])
+            sol = _solve(FIG_A1, CUBE_LAW, 1.0, nodal, x0)
             spread = max(abs(sol.potentials[n] - reference.potentials[n])
                          for n in FIG_A1.nodes)
             assert spread <= 1e-9
@@ -170,6 +172,18 @@ class TestErrors:
         monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "1")
         with pytest.raises(SolverError, match="did not converge"):
             solve_dc(FIG_A1, CUBE_LAW, 1.0)
+
+    def test_small_drive_within_range_still_solves(self):
+        sol = solve_dc(FIG_A1, Characteristic(((1.0, 64.0),)), 1e-4)
+        assert sol.d["o"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_grid_checks_every_drive_before_solving(self, monkeypatch):
+        import alphaport.solver as solver_module
+        solved = []
+        monkeypatch.setattr(solver_module, "_solve", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match="too large"):
+            solve_grid(FIG_A1, CUBE_LAW, [1.0, 2.0, 1e150])
+        assert solved == []
 
 
 class TestSolveGrid:
