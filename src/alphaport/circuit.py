@@ -21,9 +21,11 @@ concurrent analyses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Branch",
@@ -50,6 +52,19 @@ class Mesh(NamedTuple):
     # signed 1-based indices into Circuit.branches; negative = traversed
     # against the branch's stated n1->n2 direction
     branches: tuple[int, ...]
+
+
+class _Index(NamedTuple):
+    """A circuit in integer form: node ``names`` in sorted order, and per
+    branch the codes ``n1``, ``n2`` of its ends (positions in ``names``) and
+    its multiplicity ``w``; ``a`` and ``b`` are the port's codes."""
+
+    names: list[str]
+    n1: np.ndarray
+    n2: np.ndarray
+    w: np.ndarray
+    a: int
+    b: int
 
 
 class NetlistError(ValueError):
@@ -95,6 +110,17 @@ class Circuit:
         """Non-port nodes in sorted order (the solver's unknowns)."""
         return sorted(self.nodes - set(self.input_port))
 
+    @cached_property
+    def _index(self) -> _Index:
+        """The integer form that validation and the solvers read, built once."""
+        names = sorted(self.nodes)
+        code = dict(zip(names, range(len(names))))
+        n_br = len(self.branches)
+        n1 = np.fromiter(map(code.__getitem__, (br.n1 for br in self.branches)), np.intp, n_br)
+        n2 = np.fromiter(map(code.__getitem__, (br.n2 for br in self.branches)), np.intp, n_br)
+        w = np.fromiter((br.w for br in self.branches), float, n_br)
+        return _Index(names, n1, n2, w, code[self.a], code[self.b])
+
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         for b in self.branches:
@@ -112,6 +138,33 @@ class ValidationReport:
         return [msg for sev, msg in self.issues if sev == "error"]
 
 
+def _neighbours(n: int, n1: np.ndarray, n2: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Adjacency lists of an n-node multigraph with branches ``n1``-``n2``.
+
+    Node k's neighbours are ``nbr[start[k]:start[k + 1]]``, in branch
+    order, reached through the branches ``via[start[k]:start[k + 1]]``.
+    """
+    ends = np.concatenate((n1, n2))
+    order = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[order], np.arange(n + 1))
+    return (start.tolist(), np.concatenate((n2, n1))[order].tolist(),
+            (order % n1.size).tolist())
+
+
+def _reachable(idx: _Index) -> np.ndarray:
+    """Which nodes a breadth-first walk from terminal a reaches."""
+    start, nbr, _ = _neighbours(len(idx.names), idx.n1, idx.n2)
+    seen = bytearray(len(idx.names))
+    seen[idx.a] = 1
+    queue = [idx.a]
+    for p in queue:
+        for q in nbr[start[p]:start[p + 1]]:
+            if not seen[q]:
+                seen[q] = 1
+                queue.append(q)
+    return np.frombuffer(seen, dtype=np.uint8).astype(bool)
+
+
 def validate(c: Circuit) -> ValidationReport:
     """Report structural problems instead of raising.
 
@@ -120,38 +173,25 @@ def validate(c: Circuit) -> ValidationReport:
     current but are solvable).
     """
     issues: list[tuple[str, str]] = []
+    idx = c._index
+    names = idx.names
     a, b = c.input_port
     if a == b:
         issues.append(("error", f"degenerate port: both terminals are {a!r}"))
-    for i, br in enumerate(c.branches, start=1):
-        if br.n1 == br.n2:
-            issues.append(("error", f"branch {i} is a self-loop on node {br.n1!r}"))
+    loop = idx.n1 == idx.n2
+    for i in np.flatnonzero(loop).tolist():
+        issues.append(("error", f"branch {i + 1} is a self-loop on node {c.branches[i].n1!r}"))
 
-    adj = c.adjacency()
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        n = queue.popleft()
-        for m in adj[n]:
-            if m not in seen:
-                seen.add(m)
-                queue.append(m)
-    unreachable = sorted(c.nodes - seen)
-    for n in unreachable:
-        issues.append(("error", f"disconnected node {n!r} (unreachable from {a!r})"))
-    if b not in seen and a != b:
+    reached = _reachable(idx)
+    for k in np.flatnonzero(~reached).tolist():
+        issues.append(("error", f"disconnected node {names[k]!r} (unreachable from {a!r})"))
+    if not reached[idx.b] and a != b:
         issues.append(("error", f"no path between input terminals {a!r} and {b!r}"))
 
-    degree = {n: 0 for n in c.nodes}
-    for br in c.branches:
-        if br.n1 != br.n2:
-            degree[br.n1] += 1
-            degree[br.n2] += 1
-    for n in sorted(c.nodes):
-        if n in c.input_port:
-            continue
-        if degree[n] == 1:
-            issues.append(("warning", f"dangling node {n!r} carries no current"))
+    degree = np.bincount(np.concatenate((idx.n1[~loop], idx.n2[~loop])), minlength=len(names))
+    degree[[idx.a, idx.b]] = 0
+    for k in np.flatnonzero(degree == 1).tolist():
+        issues.append(("warning", f"dangling node {names[k]!r} carries no current"))
 
     ok = not any(sev == "error" for sev, _ in issues)
     return ValidationReport(ok=ok, issues=tuple(issues))

@@ -23,6 +23,7 @@ independent ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,52 +72,49 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
     if len(set(names)) != len(names):
         raise ValueError("duplicate mesh names in basis")
 
+    idx = c._index
     n_br = len(c.branches)
     unknowns = [m for m in basis if m.name != "source"]
     n = len(unknowns)
     # the source loop takes column n, just past the unknowns
     loops = unknowns + [m for m in basis if m.name == "source"]
-    rows, cols, signs = [], [], []
-    for column, mesh in enumerate(loops):
-        for signed in mesh.branches:
-            idx = abs(signed) - 1
-            if not (0 <= idx < n_br):
-                raise ValueError(
-                    f"mesh {mesh.name!r} references branch {abs(signed)} "
-                    f"but the circuit has {n_br}")
-            rows.append(idx)
-            cols.append(column)
-            signs.append(1.0 if signed > 0 else -1.0)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    signs = np.array(signs)
+    signed = np.fromiter(chain.from_iterable(m.branches for m in loops), np.intp)
+    cols = np.repeat(np.arange(n + 1), [len(m.branches) for m in loops])
+    rows = np.abs(signed) - 1
+    outside = np.flatnonzero((rows < 0) | (rows >= n_br))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"mesh {loops[cols[k]].name!r} references branch {rows[k] + 1} "
+                         f"but the circuit has {n_br}")
+    signs = np.sign(signed).astype(float)
 
     # node incidence B of every loop from its branch entries: each unknown
     # loop must close (B l = 0) and the source loop run from a to b
-    # (B s = e_a - e_b)
-    node = {name: i for i, name in enumerate(sorted(c.nodes))}
-    ends = np.array([(node[br.n1], node[br.n2]) for br in c.branches], dtype=np.intp)
-    cells = np.concatenate([ends[rows, 0], ends[rows, 1]]) * (n + 1) + np.concatenate([cols, cols])
-    incidence = np.bincount(cells, np.concatenate([signs, -signs]),
-                            minlength=len(node) * (n + 1)).reshape(len(node), n + 1)
+    # (B s = e_a - e_b); summed per (node, loop) cell that occurs
     a, b = c.input_port
-    incidence[node[a], n] -= 1.0
-    incidence[node[b], n] += 1.0
-    broken = np.nonzero(np.any(incidence != 0.0, axis=0))[0]
+    cells = np.concatenate((idx.n1[rows], idx.n2[rows], [idx.a, idx.b])) * (n + 1) \
+        + np.concatenate((cols, cols, [n, n]))
+    occurring, which = np.unique(cells, return_inverse=True)
+    sums = np.bincount(which, np.concatenate((signs, -signs, [-1.0, 1.0])))
+    broken = np.unique(occurring[sums != 0.0] % (n + 1))
     if broken.size and broken[-1] == n:
         raise ValueError(f"invalid mesh basis: the source loop is not a path from {a!r} to {b!r}")
     if broken.size:
         raise ValueError(f"invalid mesh basis: loop {loops[broken[0]].name!r} does not close")
-    needed = n_br - len(node) + 1
+    needed = n_br - len(idx.names) + 1
     if n != needed:
         raise ValueError(f"invalid mesh basis: {n} loops besides the source, "
                          f"but the circuit has {needed} independent loops")
 
-    w = np.array([br.w for br in c.branches], dtype=float)
+    w = idx.w
     src = cols == n
     s = np.bincount(rows[src], signs[src], minlength=n_br) / w
+    # one entry per (branch, loop): a loop that lists a branch more than
+    # once holds the sum of its signs there
     loop = ~src
-    net = Network(n, rows[loop], cols[loop], signs[loop] / w[rows[loop]], s, w)
+    entries, entry = np.unique(rows[loop] * (n + 1) + cols[loop], return_inverse=True)
+    lrows, lcols = np.divmod(entries, n + 1)
+    net = Network(n, lrows, lcols, np.bincount(entry, signs[loop]) / w[lrows], s, w)
     # the loops are independent iff the linear-start Gram matrix is
     # positive definite; a dependent set leaves a pivot at roundoff level
     gram = net.linear_gram

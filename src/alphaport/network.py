@@ -20,7 +20,13 @@ into blocks of consecutive breadth-first levels of that sharing graph
 only its neighbouring levels, so the Jacobian is symmetric
 block-tridiagonal over the blocks and is solved by block elimination,
 numpy only.  A network with fewer than 2 * MIN_BLOCK unknowns is one
-dense block.
+dense block.  Several blocks are assembled already equilibrated: the
+diagonal comes first, from one bincount of g A^2, and its power-of-two
+scaling is folded into the weights of the cell bincount, so the
+elimination itself never rescales.
+
+The residual, objective and tolerances at one iterate share one evaluation
+of the terms of A x, of y and of the flows.
 """
 
 from __future__ import annotations
@@ -166,40 +172,119 @@ def _level_blocks(n: int, index: np.ndarray) -> list[np.ndarray]:
     return [np.array(sorted(b), dtype=np.intp) for b in blocks]
 
 
+class _BlockLayout:
+    """Where a network's unknowns and the entry pairs of A's rows sit in the
+    flat cells of a ``BlockTridiagonal``.
+
+    ``offsets`` are the first cells of D_0.. and then L_0.., the last one
+    being the total; ``pair_cell`` is the cell of each ordered pair of
+    entries in a row of A's padded form.  Holds no reference to the
+    network, so a network's cached matrices do not form a cycle with it.
+    """
+
+    def __init__(self, n: int, index: np.ndarray):
+        self.n = n
+        self.blocks = _level_blocks(n, index)
+        sizes = [b.size for b in self.blocks]
+        self.sizes = sizes
+        self.order = np.concatenate(self.blocks)
+        self.slices = [slice(a - m, a) for a, m in zip(accumulate(sizes), sizes)]
+        self.offsets = list(accumulate(
+            [0] + [m * m for m in sizes] + [m1 * m0 for m0, m1 in zip(sizes, sizes[1:])]))
+        # per unknown: its block, its place there and the first cells of its
+        # rows in D_k and (from block 1 on) in L_{k-1}; the sentinel column
+        # n sits two blocks away from all of them, and its own pairs land
+        # in a cell past the end, which is cut off
+        total = self.offsets[-1]
+        block = np.full(n + 1, -2, dtype=np.intp)
+        pos = np.zeros(n + 1, dtype=np.intp)
+        d_row = np.full(n + 1, total, dtype=np.intp)
+        l_row = np.zeros(n + 1, dtype=np.intp)
+        for k, members in enumerate(self.blocks):
+            place = np.arange(members.size)
+            block[members] = k
+            pos[members] = place
+            d_row[members] = self.offsets[k] + place * members.size
+            if k:
+                l_row[members] = self.offsets[len(sizes) + k - 1] + place * sizes[k - 1]
+        self.diagonal_cell = (d_row + pos)[:n]
+
+        # each ordered pair of entries in a row adds to one cell: a pair in
+        # block k to D_k, a row in block k+1 with a column in block k to
+        # L_k; L_k^T pairs and pairs with the sentinel go past the end
+        p, q = index[:, :, None], index[:, None, :]
+        gap = block[p] - block[q]
+        self.pair_cell = np.where(gap == 0, d_row[p] + pos[q],
+                                  np.where(gap == 1, l_row[p] + pos[q], total)).ravel()
+
+
+def _equilibration(diag: np.ndarray) -> np.ndarray:
+    """Powers of two that scale a diagonal symmetrically into [0.5, 2)."""
+    return np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
+
+
 class BlockTridiagonal:
-    """Symmetric block-tridiagonal matrix over a network's level blocks.
+    """Symmetric block-tridiagonal matrix J over a network's level blocks.
 
     ``cells`` holds the diagonal blocks D_k, row-major, then the
     sub-diagonal blocks L_k (rows in block k+1, columns in block k); the
     super-diagonal blocks are L_k^T.  Vectors are indexed by unknown.
+    ``diag`` is J's diagonal.  With several blocks the cells hold S J S,
+    for the power-of-two ``scale`` S that brings that diagonal into
+    [0.5, 2), which is exact: elimination does not pivot across blocks,
+    and on strongly graded Jacobians (slopes down to subnormal at large
+    exponents) unscaled couplings overflow or swamp the small equations.
+    One block is stored as it is (``scale`` None) and solved by one LU
+    with partial pivoting.
     """
 
-    def __init__(self, net: "Network", cells: np.ndarray):
-        self.net = net
+    def __init__(self, layout: _BlockLayout, cells: np.ndarray, diag: np.ndarray,
+                 scale: np.ndarray | None):
+        self.layout = layout
         self.cells = cells
+        self.diag = diag
+        self.scale = scale
 
     def _blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        cells, sizes = self.cells, self.net._block_sizes
-        d = [cells[o:o + m * m].reshape(m, m)
-             for o, m in zip(self.net._block_offsets, sizes)]
+        """Views of the D_k and L_k in ``cells``."""
+        cells, sizes, offsets = self.cells, self.layout.sizes, self.layout.offsets
+        d = [cells[o:o + m * m].reshape(m, m) for o, m in zip(offsets, sizes)]
         low = [cells[o:o + m1 * m0].reshape(m1, m0)
-               for o, m0, m1 in zip(self.net._block_offsets[len(sizes):], sizes, sizes[1:])]
+               for o, m0, m1 in zip(offsets[len(sizes):], sizes, sizes[1:])]
         return d, low
 
     def diagonal(self) -> np.ndarray:
-        return self.cells[self.net._diagonal_cell]
+        return self.diag
 
     def ridged(self, add) -> "BlockTridiagonal":
         """A copy with ``add`` (scalar or per unknown) added to the diagonal."""
+        diag = self.diag + add
         cells = self.cells.copy()
-        cells[self.net._diagonal_cell] += add
-        return BlockTridiagonal(self.net, cells)
+        if self.scale is None:
+            cells[self.layout.diagonal_cell] += add
+            return BlockTridiagonal(self.layout, cells, diag, None)
+        # rescale to the ridged diagonal's powers of two (an exact ratio),
+        # multiplying in turn where a product of factors could overflow
+        scale = _equilibration(diag)
+        ratio = scale / self.scale
+        out = BlockTridiagonal(self.layout, cells, diag, scale)
+        d, low = out._blocks()
+        r = [ratio[members] for members in self.layout.blocks]
+        for dk, rk in zip(d, r):
+            dk *= rk[:, None]
+            dk *= rk
+        for lk, r0, r1 in zip(low, r, r[1:]):
+            lk *= r1[:, None]
+            lk *= r0
+        cells[self.layout.diagonal_cell] = diag * scale * scale
+        return out
 
     def pinned(self, dead: np.ndarray) -> "BlockTridiagonal":
         """A copy whose ``dead`` rows and columns are those of the identity."""
-        out = BlockTridiagonal(self.net, self.cells.copy())
+        scale = None if self.scale is None else np.where(dead, 1.0, self.scale)
+        out = BlockTridiagonal(self.layout, self.cells.copy(), np.where(dead, 1.0, self.diag), scale)
         d, low = out._blocks()
-        for k, members in enumerate(self.net.blocks):
+        for k, members in enumerate(self.layout.blocks):
             idx = np.flatnonzero(dead[members])
             d[k][idx, :] = 0.0
             d[k][:, idx] = 0.0
@@ -216,27 +301,19 @@ class BlockTridiagonal:
         Each Schur complement S_k is solved once against [L_k^T | y_k];
         raises ``np.linalg.LinAlgError`` when one is singular.
         """
-        if len(self.net.blocks) == 1:
-            # no couplings to eliminate: one dense LU with partial pivoting
-            n = self.net.n
+        if self.scale is None:
+            n = self.layout.n
             return np.linalg.solve(self.cells.reshape(n, n), r)
         d, low = self._blocks()
-        perm, slices = self.net._block_order, self.net._block_slices
-        # Symmetric power-of-two scaling to a diagonal in [0.5, 2), which is
-        # exact: elimination does not pivot across blocks, and on strongly
-        # graded Jacobians (slopes down to subnormal at large exponents)
-        # the unscaled couplings overflow or swamp the small equations.
-        scale = np.ldexp(1.0, -(np.frexp(self.diagonal())[1] // 2))[perm]
-        sk = [scale[sl] for sl in slices]
-        d = [dk * s[:, None] * s for dk, s in zip(d, sk)]
-        low = [lk * s1[:, None] * s0 for lk, s0, s1 in zip(low, sk, sk[1:])]
+        perm, slices = self.layout.order, self.layout.slices
+        scale = self.scale[perm]
         scaled = r[perm] * scale
         rhs = [scaled[sl] for sl in slices]
 
         schur, y = d[0], rhs[0]
         eliminated = []
         for lk, dk, rk in zip(low, d[1:], rhs[1:]):
-            sol = np.linalg.solve(schur, np.column_stack((lk.T, y)))
+            sol = np.linalg.solve(schur, np.concatenate((lk.T, y[:, None]), axis=1))
             coupling, z = sol[:, :-1], sol[:, -1]
             eliminated.append((coupling, z))
             schur, y = dk - lk @ coupling, rk - lk @ z
@@ -248,7 +325,7 @@ class BlockTridiagonal:
         return x
 
     def cholesky_pivots(self) -> np.ndarray:
-        """Squared Cholesky pivots, each at its unknown, in block order.
+        """Squared Cholesky pivots of J, each at its unknown, in block order.
 
         For a positive semidefinite matrix these are the pivots of the full
         factorization in that order; raises ``np.linalg.LinAlgError`` when
@@ -261,18 +338,18 @@ class BlockTridiagonal:
             pivots.append(np.diag(np.linalg.cholesky(schur)) ** 2)
             schur = dk - lk @ np.linalg.solve(schur, lk.T)
         pivots.append(np.diag(np.linalg.cholesky(schur)) ** 2)
-        out = np.empty(self.net.n)
-        out[self.net._block_order] = np.concatenate(pivots)
-        return out
+        out = np.empty(self.layout.n)
+        out[self.layout.order] = np.concatenate(pivots)
+        return out if self.scale is None else out / self.scale / self.scale
 
 
 class Network:
     """``A^T w f(A x + s u) = 0`` for one topology, with n unknowns.
 
     A is given as coordinate triplets (branch ``rows``, unknown ``cols``,
-    ``vals``), where entries in column n are ignored; ``s`` and ``w`` have
-    one entry per branch.  ``blocks`` lists the unknowns of each level
-    block, in elimination order.
+    ``vals``), at most one per row and column below n; entries in column n
+    are ignored.  ``s`` and ``w`` have one entry per branch.  ``blocks``
+    lists the unknowns of each level block, in elimination order.
     """
 
     def __init__(self, n: int, rows, cols, vals, s, w):
@@ -292,40 +369,10 @@ class Network:
         self.value[rows, slot] = np.asarray(vals, dtype=float)[order]
         self._abs_value = np.abs(self.value)
 
-        self.blocks = _level_blocks(n, self.index)
-        sizes = [b.size for b in self.blocks]
-        self._block_sizes = sizes
-        self._block_order = np.concatenate(self.blocks)
-        self._block_slices = [slice(a - m, a) for a, m in zip(accumulate(sizes), sizes)]
-        # flat cell offsets of D_0.. and then L_0..; the last is the total
-        self._block_offsets = list(accumulate(
-            [0] + [m * m for m in sizes] + [m1 * m0 for m0, m1 in zip(sizes, sizes[1:])]))
-        # per unknown: its block, its place there and the first cells of its
-        # rows in D_k and (from block 1 on) in L_{k-1}; the sentinel column
-        # n sits two blocks away from all of them, and its own pairs land
-        # in a cell past the end, which is cut off
-        total = self._block_offsets[-1]
-        block = np.full(n + 1, -2, dtype=np.intp)
-        pos = np.zeros(n + 1, dtype=np.intp)
-        d_row = np.full(n + 1, total, dtype=np.intp)
-        l_row = np.zeros(n + 1, dtype=np.intp)
-        for k, members in enumerate(self.blocks):
-            place = np.arange(members.size)
-            block[members] = k
-            pos[members] = place
-            d_row[members] = self._block_offsets[k] + place * members.size
-            if k:
-                l_row[members] = self._block_offsets[len(sizes) + k - 1] + place * sizes[k - 1]
-        self._diagonal_cell = (d_row + pos)[:n]
-
-        # each ordered pair of entries in a row adds to one cell: a pair in
-        # block k to D_k, a row in block k+1 with a column in block k to
-        # L_k; L_k^T pairs and pairs with the sentinel go past the end
-        p, q = self.index[:, :, None], self.index[:, None, :]
-        gap = block[p] - block[q]
-        self._pair_cell = np.where(gap == 0, d_row[p] + pos[q],
-                                   np.where(gap == 1, l_row[p] + pos[q], total)).ravel()
-        self._pair_value = (self.value[:, :, None] * self.value[:, None, :]).reshape(n_br, -1)
+        self.layout = _BlockLayout(n, self.index)
+        self.blocks = self.layout.blocks
+        self._pair_value = self.value[:, :, None] * self.value[:, None, :]
+        self._square = self.value * self.value
 
     def _terms(self, x: np.ndarray) -> np.ndarray:
         return self.value * np.append(x, 0.0)[self.index]
@@ -337,11 +384,25 @@ class Network:
                            minlength=self.n + 1)[:self.n]
 
     def gram(self, g: np.ndarray) -> BlockTridiagonal:
-        """A^T diag(g) A over the level blocks."""
-        total = self._block_offsets[-1]
-        return BlockTridiagonal(self, np.bincount(
-            self._pair_cell, (g[:, None] * self._pair_value).ravel(),
-            minlength=total + 1)[:total])
+        """A^T diag(g) A over the level blocks, equilibrated when there are several.
+
+        The diagonal is one bincount of g A^2; its powers of two s are
+        folded into the weights of the cell bincount as (g a_p a_q s_p) s_q,
+        in that order, so no product leaves the range of its result.
+        """
+        layout = self.layout
+        total = layout.offsets[-1]
+        weights = g[:, None, None] * self._pair_value
+        if len(self.blocks) == 1:
+            cells = np.bincount(layout.pair_cell, weights.ravel(), minlength=total + 1)[:total]
+            return BlockTridiagonal(layout, cells, cells[layout.diagonal_cell], None)
+        diag = np.bincount(self.index.ravel(), (g[:, None] * self._square).ravel(),
+                           minlength=self.n + 1)[:self.n]
+        scale = _equilibration(diag)
+        s = np.append(scale, 1.0)[self.index]
+        weights = weights * s[:, :, None] * s[:, None, :]
+        cells = np.bincount(layout.pair_cell, weights.ravel(), minlength=total + 1)[:total]
+        return BlockTridiagonal(layout, cells, diag, scale)
 
     @cached_property
     def linear_gram(self) -> BlockTridiagonal:
@@ -367,34 +428,43 @@ class Network:
     def equations(self, f: Characteristic, u: float):
         """residual, jacobian, objective and tolerances of law f at drive u.
 
-        Returned in ``damped_newton``'s positional order.
+        Returned in ``damped_newton``'s positional order.  They share one
+        evaluation of the terms of A x, y and the flows per iterate, keyed
+        on the iterate's value, since a caller may change x in place.
         """
         w = self.w
         su = self.s * u
         abs_tol = self.abs_tol(f, u)
         sublinear = f.min_exponent < 1.0
+        last: list = [None, None]
+
+        def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            if last[0] is None or not np.array_equal(last[0], x):
+                terms = self._terms(x)
+                y = terms.sum(axis=1) + su
+                last[0], last[1] = x.copy(), (terms, y, w * _currents(f, y))
+            return last[1]
 
         def residual(x: np.ndarray) -> np.ndarray:
-            return self._transpose(self.flows(f, x, u))
+            return self._transpose(evaluate(x)[2])
 
         def jacobian(x: np.ndarray) -> BlockTridiagonal:
-            y = self.values(x, u)
+            y = evaluate(x)[1]
             J = self.gram(w * _slopes(f, y))
             if sublinear and np.any(np.abs(y) < ZERO_DROP):
                 J = J.ridged(SINGULAR_SLOPE_REG)
             return J
 
         def objective(x: np.ndarray) -> float:
-            return float((w * _integral(f, self.values(x, u))).sum())
+            return float((w * _integral(f, evaluate(x)[1])).sum())
 
         def tolerances(x: np.ndarray) -> np.ndarray:
             # relative share of the local flow (capped at the flat
             # drive-scale tolerance), plus the roundoff floor of forming
             # each y_k from its terms, a granule of EPS * max |term|
-            terms = self._terms(x)
-            y = terms.sum(axis=1) + su
+            terms, y, flows = evaluate(x)
             scale = np.maximum(np.abs(terms).max(axis=1), np.abs(su))
-            flow = self._transpose(np.abs(w * _currents(f, y)), self._abs_value)
+            flow = self._transpose(np.abs(flows), self._abs_value)
             slo = w * _floor_slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
             floor = self._transpose(slo * scale, self._abs_value)
             return np.maximum(np.minimum(REL_TOL * flow, abs_tol),

@@ -35,10 +35,12 @@ LAWS = {
 def mp_solve(c, terms, v_in, start):
     """Potentials and input current of law ``terms`` at drive ``v_in``, to 40 digits."""
     mp = mpmath.mp
-    alive, dead_assignments = _live_split(c)
+    alive, dead_codes, anchor_codes = _live_split(c)
     live = [c.branches[i] for i in alive]
     a, b = c.input_port
-    dead = {n for n, _ in dead_assignments}
+    names = c._index.names
+    dead_anchors = [(names[n], names[k]) for n, k in zip(dead_codes, anchor_codes)]
+    dead = {n for n, _ in dead_anchors}
     unknowns = [n for n in c.internal_nodes() if n not in dead]
     index = {n: k for k, n in enumerate(unknowns)}
 
@@ -81,7 +83,7 @@ def mp_solve(c, terms, v_in, start):
             x0 = [mp.mpf(start[n]) for n in unknowns]
             root = mpmath.findroot(residual, x0, J=jacobian)
             p = potentials([root] if isinstance(root, mpmath.mpf) else list(root))
-        for node, anchor in dead_assignments:
+        for node, anchor in dead_anchors:
             p[node] = p[anchor]
         # inflow at the grounded terminal b
         i_in = sum(br.w * current(p[br.n1 if br.n2 == b else br.n2] - p[b])

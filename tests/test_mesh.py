@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from conftest import square_grid
 
 from alphaport import (
     Branch,
@@ -11,6 +13,7 @@ from alphaport import (
     phi_closed_form_fig_a1,
     phi_meshes_from_nodes,
 )
+from alphaport.mesh import _loop_network
 
 FIG_B1 = build_canonical("fig_b1")
 SOURCE, M1, M2 = FIG_B1.meshes
@@ -146,6 +149,25 @@ class TestBasisHandling:
         basis = (Mesh("source", (9,)),)
         with pytest.raises(ValueError, match="references branch 9"):
             mesh_solve(FIG_B1, power_law(1.0), 1.0, basis=basis)
+
+    def test_index_zero_rejected(self):
+        basis = (Mesh("source", (1,)), Mesh("m1", (-1, 2, 0)), M2)
+        with pytest.raises(ValueError, match="references branch 0"):
+            mesh_solve(FIG_B1, power_law(1.0), 1.0, basis=basis)
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    def test_branch_listed_twice_counts_once_net(self, alpha):
+        # a face that runs its first edge forward twice and back once is the
+        # same loop; on a multi-block network too
+        c = square_grid(20)
+        first = c.meshes[1]
+        twice = Mesh(first.name, first.branches[:1] * 2 + (-first.branches[0],) + first.branches[1:])
+        reworded = Circuit(c.branches, c.input_port, meshes=(c.meshes[0], twice) + c.meshes[2:])
+        plain, repeated = (_loop_network(x, x.meshes)[0] for x in (c, reworded))
+        assert len(repeated.blocks) > 1
+        np.testing.assert_array_equal(repeated.gram(repeated.w).diagonal(),
+                                      plain.gram(plain.w).diagonal())
+        assert mesh_solve(reworded, power_law(alpha), 1.0) == mesh_solve(c, power_law(alpha), 1.0)
 
     def test_nonpositive_drive_rejected(self):
         with pytest.raises(ValueError):

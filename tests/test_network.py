@@ -212,6 +212,58 @@ def test_pinned_and_ridged_step_matches_dense_step():
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def graded_grid20():
+    """A 20x20 nodal grid and slopes that fall from about 1 at the driven
+    corner to 1e-300 at the far one, times a seeded factor in [0.1, 1].
+
+    Graded along the grid, as the slopes of an attenuating network are, the
+    equilibrated matrix stays well conditioned; independent slopes over 300
+    decades would leave it singular to working precision for any solver.
+    """
+    net, internal = _nodal_network(square_grid(20))[:2]
+    # steps from the driven corner; the port's sentinel column sits at 0
+    dist = np.array([sum(map(int, name[1:].split("_"))) for name in internal] + [0])
+    t = 10.0 ** (-150.0 * dist / dist.max())
+    rng = np.random.default_rng(13)
+    g = net.w * t[net.index[:, 0]] * t[net.index[:, 1]] * 10.0 ** rng.uniform(-1.0, 0.0, net.w.size)
+    return net, g, rng
+
+
+def equilibration(dense):
+    """Powers of two that bring the diagonal of ``dense`` into [0.5, 2)."""
+    return np.ldexp(1.0, -(np.frexp(np.diag(dense))[1] // 2))
+
+
+def test_graded_jacobian_diagonal_is_exact():
+    net, g, _ = graded_grid20()
+    assert len(net.blocks) > 1 and g.min() < 1e-290
+    np.testing.assert_array_equal(net.gram(g).diagonal(), np.diag(dense_matrix(net, g)))
+
+
+def test_graded_ridged_solve_matches_dense_solve():
+    net, g, rng = graded_grid20()
+    J = net.gram(g)
+    dense = dense_matrix(net, g) + np.diag(J.diagonal() * 1e-14)
+    s = equilibration(dense)
+    r = rng.standard_normal(net.n) / s  # unit order in equilibrated coordinates
+    x = J.ridged(J.diagonal() * 1e-14).solve(r)
+    ref = s * np.linalg.solve(dense * s[:, None] * s, r * s)
+    assert np.linalg.norm((x - ref) / s) <= 1e-12 * np.linalg.norm(ref / s)
+
+
+def test_graded_step_with_zero_slope_unknown_matches_dense_step():
+    net, g, rng = graded_grid20()
+    k = net.n // 2
+    g[np.any(net.index == k, axis=1)] = 0.0
+    dense = dense_matrix(net, g)
+    s = equilibration(dense)
+    r = rng.standard_normal(net.n) / s
+    step = _solve_step(net.gram(g), r)
+    ref = s * dense_step(dense * s[:, None] * s, r * s)
+    assert step[k] == 0.0
+    assert np.linalg.norm((step - ref) / s) <= 1e-12 * np.linalg.norm(ref / s)
+
+
 def test_large_grid_satisfies_kcl():
     c = square_grid(60)
     law = Characteristic(((1.0, 1.0), (1.0, 3.0)))

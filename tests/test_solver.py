@@ -16,10 +16,27 @@ from alphaport import (
     solve_grid,
 )
 from alphaport.solver import _live_split, _nodal_network, _solve
-from conftest import random_characteristic, random_connected_circuit
+from conftest import random_characteristic, random_connected_circuit, square_grid
 
 CUBE_LAW = Characteristic(((1.0, 1.0), (1.0, 3.0)))
 FIG_A1 = build_canonical("fig_a1")
+
+
+def orientation_cases():
+    """A reversed single branch, then 20 seeded random circuits with dead
+    branches and multiplicities above 1, each with a random law and drive."""
+    cases = [(Circuit((Branch("b", "a"),), ("a", "b")), Characteristic(((1.0, 1.0),)), 2.0)]
+    rng = random.Random(21)
+    while len(cases) < 21:
+        c = random_connected_circuit(rng, max_internal=8, max_extra=6)
+        alive = _live_split(c)[0]
+        if alive.size < len(c.branches) and any(br.w > 1 for br in c.branches):
+            cases.append((c, random_characteristic(rng), rng.uniform(0.2, 3.0)))
+    return cases
+
+
+ORIENTATION_CASES = orientation_cases()
+ORIENTATION_IDS = ["reversed-branch"] + [f"draw-{k}" for k in range(1, len(ORIENTATION_CASES))]
 
 
 def divider_equation_root():
@@ -56,14 +73,32 @@ class TestReferenceSolve:
         sol = solve_dc(c, Characteristic(((1.0, 2.0),)), 3.0)
         assert sol.input_current == pytest.approx(9.0, rel=1e-15)
 
-    def test_branch_quantities_reflect_orientation_fixup(self):
-        # declare a branch against the current direction; the solution
-        # re-orients it and keeps the drop nonnegative
-        c = Circuit((Branch("b", "a"),), ("a", "b"))
-        sol = solve_dc(c, Characteristic(((1.0, 1.0),)), 2.0)
-        assert sol.branches[0] == Branch("a", "b")
-        assert sol.branch_voltages[0] == pytest.approx(2.0)
-        assert all(v >= 0.0 for v in sol.branch_voltages)
+    @pytest.mark.parametrize("case", ORIENTATION_CASES, ids=ORIENTATION_IDS)
+    def test_branch_quantities_reflect_orientation_fixup(self, case):
+        # branches declared against the current direction are re-oriented,
+        # and every field follows from the potentials branch by branch
+        c, f, v_in = case
+        sol = solve_dc(c, f, v_in)
+        p = sol.potentials
+        alive, dead, anchor = _live_split(c)
+        names = c._index.names
+        for node, at in zip(dead.tolist(), anchor.tolist()):
+            assert p[names[node]] == p[names[at]]
+        alive = set(alive.tolist())
+        assert len(sol.branches) == len(c.branches)
+        for i, (br, out) in enumerate(zip(c.branches, sol.branches)):
+            assert out in (br, Branch(br.n2, br.n1, br.w))
+            drop = p[out.n1] - p[out.n2]
+            assert drop >= 0.0 and (out == br or drop > 0.0)
+            assert sol.branch_voltages[i] == drop
+            assert sol.branch_currents[i] == pytest.approx(br.w * f(drop), rel=1e-15, abs=0.0)
+            if i not in alive:
+                assert sol.branch_voltages[i] == 0.0 and sol.branch_currents[i] == 0.0
+        into_b = sum(br.w * f.eval_signed(p[br.n1] - p[br.n2]) * ((br.n2 == c.b) - (br.n1 == c.b))
+                     for br in c.branches)
+        assert sol.input_current == pytest.approx(into_b, rel=1e-14)
+        if c.branches == (Branch("b", "a"),):
+            assert sol.branches[0] == Branch("a", "b") and sol.branch_voltages[0] == 2.0
 
 
 class TestPortSums:
@@ -84,6 +119,11 @@ class TestPortSums:
         sol = solve_dc(c, f, 1.0)
         assert sol.input_current == pytest.approx(1.0 + 2.0 * (1.0 / 3.0) ** m, rel=1e-12)
 
+    def test_unknown_node_rejected(self):
+        sol = solve_dc(FIG_A1, CUBE_LAW, 1.0)
+        with pytest.raises(ValueError, match="'zz' is not in the circuit"):
+            port_current_sum(FIG_A1, CUBE_LAW, sol.potentials, "zz")
+
     def test_multiplicity_counts_parallel_conductors(self):
         c = Circuit((Branch("a", "b", 4),), ("a", "b"))
         sol = solve_dc(c, Characteristic(((1.0, 2.0),)), 1.5)
@@ -100,6 +140,10 @@ class TestCoContent:
         c = Circuit((Branch("a", "b"),), ("a", "b"))
         f = Characteristic(((1.0, 3.0),))
         assert co_content(c, f, {"a": 2.0, "b": 0.0}) == pytest.approx(4.0, rel=1e-15)
+
+    def test_missing_potentials_rejected(self):
+        with pytest.raises(ValueError, match="nodes 'o', 'x'"):
+            co_content(FIG_A1, CUBE_LAW, {"a": 1.0, "b": 0.0})
 
     def test_solution_minimizes_over_interior_grid(self):
         sol = solve_dc(FIG_A1, CUBE_LAW, 1.0)
@@ -119,7 +163,7 @@ class TestSolutionProperties:
         for _ in range(5):
             start = {n: rng.uniform(0.0, 1.0) for n in FIG_A1.internal_nodes()}
             x0 = np.array([start[n] for n in nodal[1]])
-            sol = _solve(FIG_A1, CUBE_LAW, 1.0, nodal, x0)
+            sol = _solve(FIG_A1, CUBE_LAW, 1.0, nodal, x0)[0]
             spread = max(abs(sol.potentials[n] - reference.potentials[n])
                          for n in FIG_A1.nodes)
             assert spread <= 1e-9
@@ -133,6 +177,19 @@ class TestSolutionProperties:
             sol = solve_dc(c, f, v_in)
             branch_power = sum(v * i for v, i in zip(sol.branch_voltages, sol.branch_currents))
             assert branch_power == pytest.approx(v_in * sol.input_current, rel=1e-9)
+
+    def test_law_evaluations_do_not_grow_with_branch_count(self, monkeypatch):
+        # packaging works on arrays: the law is called per drive, not per branch
+        calls = []
+        law = Characteristic.__call__
+        monkeypatch.setattr(Characteristic, "__call__",
+                            lambda f, v: calls.append(v) or law(f, v))
+        counts = []
+        for n in (10, 20):
+            calls.clear()
+            solve_dc(square_grid(n), CUBE_LAW, 1.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 5
 
     def test_kcl_residual_reported_small(self):
         sol = solve_dc(FIG_A1, CUBE_LAW, 1.0)
@@ -225,16 +282,17 @@ def test_live_split_matches_networkx_biconnected_components():
                               if c.a in comp and c.b in comp)
         expected = {i for i in range(len(c.branches)) if ("mid", i) in port_component}
 
-        alive, assignments = _live_split(c)
-        assert set(alive) == expected
+        alive, dead_codes, anchor_codes = _live_split(c)
+        assert set(alive.tolist()) == expected
 
         anchors = {c.a, c.b} | {n for i in alive for n in c.branches[i][:2]}
         dead = nx.Graph()
         dead.add_nodes_from(c.nodes)
         dead.add_edges_from(br[:2] for i, br in enumerate(c.branches) if i not in expected)
-        source = {n: n for n in anchors}
-        for node, anchor in assignments:
-            assert node not in source and anchor in source  # assigned once, replayable
-            source[node] = source[anchor]
-            assert nx.has_path(dead, node, source[node])
-        assert set(source) == set(c.nodes)
+        names = c._index.names
+        assigned = [(names[n], names[k]) for n, k in zip(dead_codes, anchor_codes)]
+        for node, anchor in assigned:
+            assert node not in anchors and anchor in anchors
+            assert nx.has_path(dead, node, anchor)
+        # every other node is assigned, once
+        assert sorted(n for n, _ in assigned) == sorted(c.nodes - anchors)
