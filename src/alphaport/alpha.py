@@ -5,14 +5,30 @@ F(v_in) = D * phi(alpha) * v_in**alpha and every node sits at a fixed
 fraction d_k(alpha) of the drive, independent of both v_in and D.  These
 profiles are the raw material of the structural superposition and of the
 large-exponent (hardlimiter) asymptotics.
+
+Two routes compute a profile.  Exponents below 1 on a circuit that
+declares a loop basis (``Circuit.meshes``: netlist ``.mesh`` sections,
+fig_b1) are solved through the loop equations under the resistive law
+i**(1/alpha), the paper's alpha -> 1/alpha conversion: there the law's
+kink at zero drop, which quantizes the nodal Newton line search, becomes
+a smooth zero slope, and Newton converges in a few iterations.  Every
+other profile is solved by the nodal equations.  The loop route stays
+limited to declared bases and to alpha < 1 because it is slower or less
+robust elsewhere: on a generated short-cycle basis a long ladder's loop
+solve needs coordinate polish, and the dual of a superlinear law (a
+sublinear resistive law) fails on circuits the nodal route solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characteristic import Characteristic
-from .circuit import Circuit
+from .circuit import Circuit, _neighbours
+from .mesh import _kvl_solve, _loop_network
+from .network import _currents
 from .solver import _chain, _nodal_network
 
 __all__ = [
@@ -59,25 +75,85 @@ def alpha_solve(c: Circuit, alpha: float) -> AlphaProfile:
 
 
 def _exponent_chain(c: Circuit, alphas: tuple[float, ...]) -> list[AlphaProfile]:
-    """Profiles at the ascending exponents ``alphas``, on one network.
+    """Profiles at the ascending exponents ``alphas``.
 
-    One ``solver._chain`` at unit drive and unit coefficient: the doubling
-    steps 8, 16, ... below a first exponent above 8, then ``alphas``, each
-    warm-started from the step before.  phi is the input current.
+    A circuit that declares a loop basis takes its exponents below 1
+    through the dual loop equations (``_dual_profiles``).  The others are
+    one ``solver._chain`` at unit drive and unit coefficient on one nodal
+    network: the doubling steps 8, 16, ... below a first exponent above 8,
+    then the exponents, each warm-started from the step before.  phi is
+    the input current.
     """
     bad = next((a for a in alphas if not a > 0.0), None)
     if bad is not None:
         raise ValueError(f"alpha must be positive, got {bad}")
+    dual = [a for a in alphas if a < 1.0] if c.meshes else []
+    profiles = _dual_profiles(c, dual) if dual else []
+    nodal = list(alphas[len(dual):])
+    if not nodal:
+        return profiles
     steps = []
     step = _CONTINUATION_START
-    while step < alphas[0]:
+    while step < nodal[0]:
         steps.append(step)
         step *= 2.0
-    laws = [(Characteristic(((1.0, a),)), 1.0) for a in steps + list(alphas)]
+    laws = [(Characteristic(((1.0, a),)), 1.0) for a in steps + nodal]
     solutions = _chain(c, _nodal_network(c), laws)[len(steps):]
-    return [AlphaProfile(alpha=a, d={n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()},
-                         phi=sol.input_current)
-            for a, sol in zip(alphas, solutions)]
+    return profiles + [
+        AlphaProfile(alpha=a, d={n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()},
+                     phi=sol.input_current)
+        for a, sol in zip(nodal, solutions)]
+
+
+def _dual_profiles(c: Circuit, alphas: list[float]) -> list[AlphaProfile]:
+    """Profiles at ascending exponents below 1 from the loop equations of ``c.meshes``.
+
+    The conductor v**alpha is the resistor i**(1/alpha), whose law has a
+    smooth zero slope where the conductance law has a kink at zero drop.
+    One loop network is solved at unit source current, from the linear
+    start at the largest exponent down to the smallest, each warm-started
+    from the one before.  The potentials are sums of the branch voltages
+    along a breadth-first spanning tree from b; branches on no a-b path
+    carry no current, so dead nodes land on their anchor's potential.  With
+    v_in = p(a), d = p / v_in and the unit current 1 = phi * v_in**alpha.
+    """
+    net, _ = _loop_network(c, c.meshes)
+    idx = c._index
+    tree = _spanning_tree(c)
+    profiles = []
+    x = None
+    for a in reversed(alphas):
+        f = Characteristic(((1.0, 1.0 / a),))
+        x = _kvl_solve(net, f, 1.0, x).x
+        volts = _currents(f, net.values(x, 1.0)).tolist()  # p(n1) - p(n2)
+        p = [0.0] * len(idx.names)
+        for node, parent, branch, sign in tree:
+            p[node] = p[parent] + sign * volts[branch]
+        v_in = p[idx.a]
+        d = np.minimum(np.maximum(np.array(p) / v_in, 0.0), 1.0)
+        profiles.append(AlphaProfile(alpha=a, d=dict(zip(idx.names, d.tolist())),
+                                     phi=v_in ** -a))
+    return profiles[::-1]
+
+
+def _spanning_tree(c: Circuit) -> list[tuple[int, int, int, float]]:
+    """A breadth-first spanning tree from b, as (node, parent, branch, sign)
+    in visiting order, with p(node) = p(parent) + sign * (p(n1) - p(n2)) of
+    the branch.  Nodes are codes into ``c._index``."""
+    idx = c._index
+    n = len(idx.names)
+    start, nbr, via = _neighbours(n, idx.n1, idx.n2)
+    n1 = idx.n1.tolist()
+    seen = [False] * n
+    seen[idx.b] = True
+    queue, tree = [idx.b], []
+    for p in queue:
+        for q, k in zip(nbr[start[p]:start[p + 1]], via[start[p]:start[p + 1]]):
+            if not seen[q]:
+                seen[q] = True
+                queue.append(q)
+                tree.append((q, p, k, 1.0 if n1[k] == q else -1.0))
+    return tree
 
 
 def phi_closed_form_fig_a1(alpha: float) -> float:

@@ -18,6 +18,12 @@ basis plus the source loop; netlists can supply ``.mesh`` sections.  A
 basis is checked before solving: every loop closes, the source loop is a
 path from a to b, and the other loops are n_branches - n_nodes + 1
 independent ones.
+
+``mesh_solve`` and the alpha-test share one loop-solve step
+(``_kvl_solve``): a circuit that declares a basis has its conductance
+profiles below exponent 1 solved here under the resistive law
+i**(1/alpha), which is smooth where the conductance law has a kink (see
+alpha.py).  ``mesh_solve`` itself solves the law it is given.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._newton import EPS, damped_newton, max_iterations
+from ._newton import EPS, NewtonOutcome, damped_newton, max_iterations
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh, validate
 from .network import Network, _check_drive
@@ -127,6 +133,24 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
     return net, [m.name for m in unknowns]
 
 
+def _kvl_solve(net: Network, f: Characteristic, i_in: float,
+               x0: np.ndarray | None = None) -> NewtonOutcome:
+    """Loop currents of ``net`` under law ``f`` at source current ``i_in``.
+
+    The one loop-solve step of ``mesh_solve`` and of the dual profiles in
+    alpha.py: damped Newton from ``x0``, or from the linear start when it
+    is None; raises ``SolverError`` when it does not converge.
+    """
+    if x0 is None:
+        x0 = net.linear_start(i_in)
+    outcome = damped_newton(x0, *net.equations(f, i_in), abs_tol=net.abs_tol(f, i_in),
+                            max_iters=max_iterations())
+    if not outcome.converged:
+        raise SolverError(
+            f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
+    return outcome
+
+
 def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
                basis: Sequence[Mesh] | None = None) -> MeshSolution:
     """Solve the KVL loop equations under a current drive.
@@ -142,12 +166,7 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")
     net, names = _loop_network(c, basis)
     f = f_resistive
-    outcome = damped_newton(net.linear_start(i_in), *net.equations(f, i_in),
-                            abs_tol=net.abs_tol(f, i_in),
-                            max_iters=max_iterations())
-    if not outcome.converged:
-        raise SolverError(
-            f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
+    outcome = _kvl_solve(net, f, i_in)
 
     # s . w f(y) = source . f(y): the element voltages around the source loop
     v_in = float(net.s @ net.flows(f, outcome.x, i_in))

@@ -73,3 +73,61 @@ def random_ring_circuit(rng: random.Random, n_internal: int, max_chords: int) ->
     pairs = list(zip(ring, ring[1:] + ring[:1]))
     pairs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randint(0, max_chords))]
     return Circuit(tuple(Branch(u, v, rng.choice((1, 1, 2))) for u, v in pairs), ("a", "b"))
+
+
+def short_cycle_basis(c: Circuit) -> tuple[Mesh, ...]:
+    """A loop basis of short cycles for ``c``: the source loop and one loop per chord.
+
+    A breadth-first tree from a gives the source loop, its path from a to
+    b, and the chords, the branches outside it.  The chords are visited in
+    order of depth (of their deeper end, then of the other) and each is
+    closed by a shortest path through the tree and the chords visited
+    before it.  Each loop owns its chord, so the loops are independent.
+    """
+    a, b = c.input_port
+    incident: dict[str, list[tuple[str, int]]] = {n: [] for n in sorted(c.nodes)}
+    for k, br in enumerate(c.branches):
+        incident[br.n1].append((br.n2, k))
+        incident[br.n2].append((br.n1, k))
+
+    def step(k: int, start: str) -> int:
+        """Signed 1-based index of branch k traversed away from ``start``."""
+        return k + 1 if c.branches[k].n1 == start else -(k + 1)
+
+    def shortest(source: str, target: str, usable: set[int]) -> list[tuple[str, int]]:
+        """(node, branch) steps of a shortest path over ``usable`` branches."""
+        via = {source: None}
+        queue = [source]
+        for p in queue:
+            for q, k in incident[p]:
+                if k in usable and q not in via:
+                    via[q] = (p, k)
+                    queue.append(q)
+        path = []
+        node = target
+        while via[node] is not None:
+            p, k = via[node]
+            path.append((p, k))
+            node = p
+        return path[::-1]
+
+    depth = {a: 0}
+    tree: set[int] = set()
+    queue = [a]
+    for p in queue:
+        for q, k in incident[p]:
+            if q not in depth:
+                depth[q] = depth[p] + 1
+                tree.add(k)
+                queue.append(q)
+    meshes = [Mesh("source", tuple(step(k, p) for p, k in shortest(a, b, tree)))]
+    chords = sorted(set(range(len(c.branches))) - tree,
+                    key=lambda k: sorted((depth[c.branches[k].n1], depth[c.branches[k].n2]),
+                                         reverse=True))
+    usable = set(tree)
+    for k in chords:
+        u, v = c.branches[k].n1, c.branches[k].n2
+        back = shortest(v, u, usable)
+        meshes.append(Mesh(f"c{k + 1}", (k + 1,) + tuple(step(j, p) for p, j in back)))
+        usable.add(k)
+    return tuple(meshes)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import alphaport
 from alphaport import Characteristic, build_canonical, report, solve_dc, solver
 from alphaport._newton import damped_newton
 from alphaport.cli import main
@@ -238,3 +243,13 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "superpose", "--canonical", "fig_a1",
                                "--f", "1:1,1:3", "--vin", "1", "--format", "csv")
         assert code == 0
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["analyze", "--canonical", "fig_a1", "--f", "1:1,1:3", "--vin", "1", "--format", "json"]
+    src = Path(alphaport.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "alphaport", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out

@@ -7,13 +7,14 @@ double-precision solution.  Dead nodes are pinned to their anchor (from
 because the system is singular there.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from alphaport import Characteristic, alpha_solve, build_canonical, solve_dc
 from alphaport.solver import _live_split
-from conftest import random_connected_circuit
+from conftest import random_connected_circuit, square_grid
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -107,6 +108,23 @@ def test_solve_dc_matches_40_digit_newton(name, law):
 def test_alpha_profile_phi_matches_40_digit_newton(name):
     c = CIRCUITS[name]
     for alpha in (1.0, 2.0, 3.0):
+        prof = alpha_solve(c, alpha)
+        _, phi = mp_solve(c, ((1.0, alpha),), 1.0, prof.d)
+        assert prof.phi == pytest.approx(phi, rel=REL)
+
+
+# Circuits that declare a loop basis take exponents below 1 through the
+# loop equations; the same graphs without the basis take the nodal route.
+DUAL_CIRCUITS = {"fig_b1": build_canonical("fig_b1"), "grid-5": square_grid(5)}
+
+
+@pytest.mark.parametrize("route", ["loop", "nodal"])
+@pytest.mark.parametrize("name", list(DUAL_CIRCUITS))
+def test_sublinear_phi_matches_40_digit_newton(name, route):
+    c = DUAL_CIRCUITS[name]
+    if route == "nodal":
+        c = dataclasses.replace(c, meshes=())
+    for alpha in (0.3, 0.5):
         prof = alpha_solve(c, alpha)
         _, phi = mp_solve(c, ((1.0, alpha),), 1.0, prof.d)
         assert prof.phi == pytest.approx(phi, rel=REL)
