@@ -94,6 +94,7 @@ def max_iterations() -> int:
 @dataclass
 class NewtonOutcome:
     x: np.ndarray
+    residual: np.ndarray  # at x
     residual_inf: float
     iterations: int
     converged: bool
@@ -221,7 +222,7 @@ def damped_newton(x0, residual, jacobian, objective, tolerances, abs_tol: float,
     """
     x = np.array(x0, dtype=float, copy=True)
     if x.size == 0:
-        return NewtonOutcome(x, 0.0, 0, True)
+        return NewtonOutcome(x, np.zeros(0), 0.0, 0, True)
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         r = residual(x)
@@ -235,7 +236,7 @@ def damped_newton(x0, residual, jacobian, objective, tolerances, abs_tol: float,
 
         for _ in range(max_iters):
             if done(r, tol):
-                return NewtonOutcome(x, _inf(r), iterations, True)
+                return NewtonOutcome(x, r, _inf(r), iterations, True)
             step = _solve_step(jacobian(x), r)
 
             def try_step(xn):
@@ -337,4 +338,4 @@ def damped_newton(x0, residual, jacobian, objective, tolerances, abs_tol: float,
         converged = done(r, tol)
         if not converged:
             converged = _unconverged(r, STALL_RELAX * tol) == 0
-        return NewtonOutcome(x, _inf(r), iterations, converged)
+        return NewtonOutcome(x, r, _inf(r), iterations, converged)

@@ -4,7 +4,8 @@ For a single-term law f(v) = D * v**alpha the input characteristic is
 F(v_in) = D * phi(alpha) * v_in**alpha and every node sits at a fixed
 fraction d_k(alpha) of the drive, independent of both v_in and D.  These
 profiles are the raw material of the structural superposition and of the
-large-exponent (hardlimiter) asymptotics.
+large-exponent (hardlimiter) asymptotics.  A cold profile above exponent 8
+is continued in the exponent by ``Network.solve``, as every solve is.
 
 Two routes compute a profile.  Exponents below 1 on a circuit that
 declares a loop basis (``Circuit.meshes``: netlist ``.mesh`` sections,
@@ -39,10 +40,6 @@ __all__ = [
     "d_sweep",
     "hardlimiter_limit",
 ]
-
-# Exponents above this are reached by doubling continuation from the
-# linear start; direct Newton is reliable but slow out there.
-_CONTINUATION_START = 8.0
 
 # Monotonicity slack for sweep verdicts; constant profiles (symmetric
 # topologies) sit exactly on the boundary up to solver roundoff.
@@ -80,9 +77,8 @@ def _exponent_chain(c: Circuit, alphas: tuple[float, ...]) -> list[AlphaProfile]
     A circuit that declares a loop basis takes its exponents below 1
     through the dual loop equations (``_dual_profiles``).  The others are
     one ``solver._chain`` at unit drive and unit coefficient on one nodal
-    network: the doubling steps 8, 16, ... below a first exponent above 8,
-    then the exponents, each warm-started from the step before.  phi is
-    the input current.
+    network, each exponent warm-started from the one before and the first
+    cold.  phi is the input current.
     """
     bad = next((a for a in alphas if not a > 0.0), None)
     if bad is not None:
@@ -92,13 +88,8 @@ def _exponent_chain(c: Circuit, alphas: tuple[float, ...]) -> list[AlphaProfile]
     nodal = list(alphas[len(dual):])
     if not nodal:
         return profiles
-    steps = []
-    step = _CONTINUATION_START
-    while step < nodal[0]:
-        steps.append(step)
-        step *= 2.0
-    laws = [(Characteristic(((1.0, a),)), 1.0) for a in steps + nodal]
-    solutions = _chain(c, _nodal_network(c), laws)[len(steps):]
+    laws = [(Characteristic(((1.0, a),)), 1.0) for a in nodal]
+    solutions = _chain(c, _nodal_network(c), laws)
     return profiles + [
         AlphaProfile(alpha=a, d={n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()},
                      phi=sol.input_current)

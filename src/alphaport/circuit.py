@@ -121,13 +121,6 @@ class Circuit:
         w = np.fromiter((br.w for br in self.branches), float, n_br)
         return _Index(names, n1, n2, w, code[self.a], code[self.b])
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for b in self.branches:
-            adj[b.n1].add(b.n2)
-            adj[b.n2].add(b.n1)
-        return adj
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -23,7 +23,8 @@ independent ones.
 (``_kvl_solve``): a circuit that declares a basis has its conductance
 profiles below exponent 1 solved here under the resistive law
 i**(1/alpha), which is smooth where the conductance law has a kink (see
-alpha.py).  ``mesh_solve`` itself solves the law it is given.
+alpha.py).  ``mesh_solve`` itself solves the law it is given.  Both
+continue a cold solve in the exponent as every ``Network.solve`` does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._newton import EPS, NewtonOutcome, damped_newton, max_iterations
+from ._newton import EPS, NewtonOutcome
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh, validate
 from .network import Network, _check_drive
@@ -135,16 +136,9 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
 
 def _kvl_solve(net: Network, f: Characteristic, i_in: float,
                x0: np.ndarray | None = None) -> NewtonOutcome:
-    """Loop currents of ``net`` under law ``f`` at source current ``i_in``.
-
-    The one loop-solve step of ``mesh_solve`` and of the dual profiles in
-    alpha.py: damped Newton from ``x0``, or from the linear start when it
-    is None; raises ``SolverError`` when it does not converge.
-    """
-    if x0 is None:
-        x0 = net.linear_start(i_in)
-    outcome = damped_newton(x0, *net.equations(f, i_in), abs_tol=net.abs_tol(f, i_in),
-                            max_iters=max_iterations())
+    """The loop-solve step of ``mesh_solve`` and of the dual profiles in
+    alpha.py: ``net.solve``, raising ``SolverError`` when it does not converge."""
+    outcome = net.solve(f, i_in, x0)
     if not outcome.converged:
         raise SolverError(
             f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")

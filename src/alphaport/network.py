@@ -26,7 +26,8 @@ scaling is folded into the weights of the cell bincount, so the
 elimination itself never rescales.
 
 The residual, objective and tolerances at one iterate share one evaluation
-of the terms of A x, of y and of the flows.
+of the terms of A x, of y and of the flows.  ``Network.solve`` is the one
+solve step of both descriptions, continuation in the exponent included.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._newton import EPS, NOISE_MULT, REL_TOL, TINY
+from ._newton import EPS, NOISE_MULT, REL_TOL, TINY, NewtonOutcome, damped_newton, max_iterations
 from .characteristic import Characteristic
 
 __all__ = ["BlockTridiagonal", "Network"]
 
+# Smallest exponent above which a cold solve is continued (Network.solve).
+CONTINUATION_START = 8.0
 # Diagonal bump applied when a sublinear exponent meets a (numerically)
 # zero branch value, where the true slope diverges.
 SINGULAR_SLOPE_REG = 1e-9
@@ -424,6 +427,31 @@ class Network:
     def linear_start(self, u: float) -> np.ndarray:
         """Solution of the f' = 1 system A^T w (A x + s u) = 0."""
         return self.linear_gram.solve(-self._transpose(self.w * self.s * u))
+
+    def solve(self, f: Characteristic, u: float, x0: np.ndarray | None = None) -> NewtonOutcome:
+        """Damped Newton on law f at drive u from ``x0``, or cold when it is None.
+
+        A cold solve starts linear; when f's smallest exponent m is above
+        CONTINUATION_START it first solves f with its exponents scaled by
+        s / m for s = 8, 16, ... below m, each step warm-starting the next.
+        Only the last law's outcome is judged; its iterations are summed.
+        """
+        laws = [f]
+        if x0 is None:
+            x0 = self.linear_start(u)
+            m = f.min_exponent
+            s = CONTINUATION_START
+            while s < m:
+                laws.insert(-1, Characteristic(tuple((d, s * (a / m)) for d, a in f.terms)))
+                s *= 2.0
+        iterations = 0
+        for law in laws:
+            outcome = damped_newton(x0, *self.equations(law, u), abs_tol=self.abs_tol(law, u),
+                                    max_iters=max_iterations())
+            iterations += outcome.iterations
+            x0 = outcome.x
+        outcome.iterations = iterations
+        return outcome
 
     def equations(self, f: Characteristic, u: float):
         """residual, jacobian, objective and tolerances of law f at drive u.

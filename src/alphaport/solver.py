@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import EPS, REL_TOL, damped_newton, max_iterations
+from ._newton import EPS, REL_TOL, max_iterations
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, _neighbours, validate
 from .network import Network, _check_drive, _currents, _integral
@@ -283,7 +283,7 @@ def solve_grid(c: Circuit, f: Characteristic, grid) -> tuple[DcSolution, ...]:
 def _chain(c: Circuit, nodal: _Nodal, steps) -> list[DcSolution]:
     """Solve (law, drive) ``steps`` in order on one prepared ``_nodal_network``.
 
-    The first step starts linear; each later one is warm-started from the
+    The first step starts cold; each later one is warm-started from the
     previous unknowns scaled by the drive ratio.
     """
     solutions: list[DcSolution] = []
@@ -297,29 +297,22 @@ def _chain(c: Circuit, nodal: _Nodal, steps) -> list[DcSolution]:
 
 def _solve(c: Circuit, f: Characteristic, v_in: float, nodal: _Nodal,
            x0: np.ndarray | None) -> tuple[DcSolution, np.ndarray]:
-    """One drive of a prepared ``_nodal_network``; ``x0=None`` starts linear.
+    """One drive of a prepared ``_nodal_network``; ``x0=None`` starts cold.
 
     Returns the solution and its unknowns.
     """
     net = nodal.net
-    residual, jacobian, objective, tolerances = net.equations(f, v_in)
-    abs_tol = net.abs_tol(f, v_in)
-    max_iters = max_iterations()
-    if x0 is None:
-        x0 = net.linear_start(v_in)
-    outcome = damped_newton(x0, residual, jacobian, objective, tolerances,
-                            abs_tol=abs_tol, max_iters=max_iters)
+    outcome = net.solve(f, v_in, x0)
     if not outcome.converged:
         snapped = _snap_equal_potentials(c, nodal, outcome.x, v_in)
         if snapped is not None:
-            outcome = damped_newton(snapped, residual, jacobian, objective,
-                                    tolerances, abs_tol=abs_tol, max_iters=max_iters)
+            outcome = net.solve(f, v_in, snapped)
     if not outcome.converged:
         raise SolverError(
-            f"KCL iteration did not converge within {max_iters} "
+            f"KCL iteration did not converge within {max_iterations()} "
             f"iterations (residual {outcome.residual_inf:.3e}); "
             "valid circuits always converge, so check the inputs")
-    residual_sum = float(np.abs(residual(outcome.x)).sum())
+    residual_sum = float(np.abs(outcome.residual).sum())
 
     idx = c._index
     p = np.empty(len(idx.names))

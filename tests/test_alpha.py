@@ -137,7 +137,7 @@ class TestAlphaSolve:
         ladder = build_canonical("ladder", sections=15)
         profile = alpha_solve(ladder, 64.0)
         assert len(builds) == 1
-        # the doubling steps 8, 16, 32, each warm-starting the next
+        # Network.solve's continuation steps 8, 16, 32, chained explicitly
         chained = alpha_module._exponent_chain(ladder, (8.0, 16.0, 32.0, 64.0))
         assert len(builds) == 2
         assert [p.alpha for p in chained] == [8.0, 16.0, 32.0, 64.0]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import alphaport
-from alphaport import Characteristic, build_canonical, report, solve_dc, solver
+from alphaport import Characteristic, build_canonical, network, report, solve_dc
 from alphaport._newton import damped_newton
 from alphaport.cli import main
 
@@ -163,7 +163,7 @@ class TestSweepCommand:
             calls.append(1)
             return damped_newton(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "damped_newton", counting_newton)
+        monkeypatch.setattr(network, "damped_newton", counting_newton)
         code, _, _ = run_cli(capsys, "sweep", "--canonical", "ladder", "--sections", "15",
                              "--f", "1:1,1:3", "--vgrid", "log:0.01:10:50")
         assert code == 0

@@ -9,6 +9,7 @@ from alphaport import (
     Mesh,
     build_canonical,
     mesh_solve,
+    network,
     phi_b6_closed_form,
     phi_closed_form_fig_a1,
     phi_meshes_from_nodes,
@@ -63,6 +64,21 @@ class TestFigB1:
         assert sol.phi_meshes == pytest.approx(phi_b6_closed_form(64.0), rel=1e-9)
         # elements clamp currents: the input splits evenly at the first loop
         assert sol.mesh_currents["m1"] == pytest.approx(0.5, abs=0.01)
+
+    def test_iterations_sum_over_continuation_steps(self, monkeypatch):
+        spent = []
+        newton = network.damped_newton
+
+        def recording_newton(*args, **kwargs):
+            outcome = newton(*args, **kwargs)
+            spent.append(outcome.iterations)
+            return outcome
+
+        monkeypatch.setattr(network, "damped_newton", recording_newton)
+        sol = mesh_solve(FIG_B1, power_law(20.0), 1.0)
+        assert len(spent) == 3  # i**8, i**16, then i**20
+        assert sol.iterations == sum(spent)
+        assert sol.phi_meshes == pytest.approx(phi_b6_closed_form(20.0), rel=1e-9)
 
 
 class TestDuality:

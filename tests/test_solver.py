@@ -9,14 +9,21 @@ from alphaport import (
     Characteristic,
     Circuit,
     SolverError,
+    alpha_solve,
     build_canonical,
     co_content,
+    network,
     port_current_sum,
     solve_dc,
     solve_grid,
 )
 from alphaport.solver import _live_split, _nodal_network, _solve
-from conftest import random_characteristic, random_connected_circuit, square_grid
+from conftest import (
+    random_characteristic,
+    random_connected_circuit,
+    random_ring_circuit,
+    square_grid,
+)
 
 CUBE_LAW = Characteristic(((1.0, 1.0), (1.0, 3.0)))
 FIG_A1 = build_canonical("fig_a1")
@@ -263,6 +270,75 @@ class TestSolveGrid:
         broken = Circuit((Branch("a", "x"),), ("a", "b"))
         with pytest.raises(ValueError, match="invalid circuit"):
             solve_grid(broken, CUBE_LAW, [1.0])
+
+
+def power_law(alpha):
+    return Characteristic(((1.0, alpha),))
+
+
+def record_laws(monkeypatch):
+    """The exponents of every law ``Network.equations`` is built for, in order."""
+    laws = []
+    equations = network.Network.equations
+
+    def recording(self, f, u):
+        laws.append(f.exponents)
+        return equations(self, f, u)
+
+    monkeypatch.setattr(network.Network, "equations", recording)
+    return laws
+
+
+def ring_corpus(draws):
+    rng = random.Random(11)
+    return [random_ring_circuit(rng, rng.randint(64, 160), rng.randint(10, 60))
+            for _ in range(draws)]
+
+
+class TestExponentContinuation:
+    """A cold solve reaches a smallest exponent above 8 through 8, 16, ...
+    (``Network.solve``), for drives and profiles alike."""
+
+    def test_ring_corpus_solves_superlinear_exponents(self):
+        # cold Newton at the final law failed draws 1, 2, 4, 5, 8, 9, 11,
+        # 13, 15, 17 and 19 here at v**20 or v**10
+        for c in ring_corpus(20):
+            for alpha, v_in in ((3.0, 1.0), (5.0, 1.0), (20.0, 1.0), (10.0, 1e-3), (10.0, 1e3)):
+                sol = solve_dc(c, power_law(alpha), v_in)
+                assert sol.input_current > 0.0
+                assert all(0.0 <= d <= 1.0 for d in sol.d.values())
+
+    @pytest.mark.parametrize("c", [build_canonical("ladder", sections=15), ring_corpus(1)[0]],
+                             ids=["ladder-15", "ring"])
+    @pytest.mark.parametrize("alpha", [9.0, 20.0, 64.0])
+    def test_drive_and_profile_follow_one_rule(self, c, alpha):
+        sol = solve_dc(c, power_law(alpha), 1.0)
+        prof = alpha_solve(c, alpha)
+        assert sol.input_current == prof.phi
+        assert sol.d == prof.d
+
+    def test_iterations_sum_over_continuation_steps(self, monkeypatch):
+        laws, spent = record_laws(monkeypatch), []
+        newton = network.damped_newton
+
+        def recording_newton(*args, **kwargs):
+            outcome = newton(*args, **kwargs)
+            spent.append(outcome.iterations)
+            return outcome
+
+        monkeypatch.setattr(network, "damped_newton", recording_newton)
+        sol = solve_dc(build_canonical("ladder", sections=15), power_law(20.0), 1.0)
+        assert laws[:3] == [(8.0,), (16.0,), (20.0,)]
+        assert len(spent) == 3 and min(spent) > 0
+        assert sol.iterations == sum(spent)
+
+    def test_multi_term_law_scales_by_its_smallest_exponent(self, monkeypatch):
+        laws = record_laws(monkeypatch)
+        solve_dc(FIG_A1, Characteristic(((1.0, 10.0), (2.0, 30.0))), 1.0)
+        assert laws[:2] == [(8.0, 24.0), (10.0, 30.0)]
+        laws.clear()
+        solve_dc(FIG_A1, Characteristic(((1.0, 1.0), (1.0, 20.0))), 1.0)
+        assert laws[0] == (1.0, 20.0)
 
 
 def test_live_split_matches_networkx_biconnected_components():
