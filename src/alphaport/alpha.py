@@ -18,6 +18,11 @@ limited to declared bases and to alpha < 1 because it is slower or less
 robust elsewhere: on a generated short-cycle basis a long ladder's loop
 solve needs coordinate polish, and the dual of a superlinear law (a
 sublinear resistive law) fails on circuits the nodal route solves.
+
+Both routes read networks kept on the circuit: the nodal network, the
+loop network of the declared basis and the loop route's spanning tree are
+built on a circuit's first profile and shared by every later one.
+Profiles themselves are solved on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristic import Characteristic
-from .circuit import Circuit, _neighbours
+from .circuit import Circuit, _kept, _neighbours
 from .mesh import _kvl_solve, _loop_network
 from .network import _currents
 from .solver import _chain, _nodal_network
@@ -108,9 +113,9 @@ def _dual_profiles(c: Circuit, alphas: list[float]) -> list[AlphaProfile]:
     carry no current, so dead nodes land on their anchor's potential.  With
     v_in = p(a), d = p / v_in and the unit current 1 = phi * v_in**alpha.
     """
-    net, _ = _loop_network(c, c.meshes)
+    net, _ = _loop_network(c)
     idx = c._index
-    tree = _spanning_tree(c)
+    tree = _kept(c, "_tree", _spanning_tree)
     profiles = []
     x = None
     for a in reversed(alphas):

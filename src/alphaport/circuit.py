@@ -16,7 +16,11 @@ Netlist text format (UTF-8, line oriented)::
                                    # loop closed through the input source
 
 Circuits are immutable after construction and safe to share between
-concurrent analyses.
+concurrent analyses.  Work that depends only on the topology (the integer
+index, a passing validation report, and the solvers' networks) is done on
+first use and kept on the circuit instance (``_kept``); results never are.
+Two threads that first use a circuit at once may both do that work, and
+keep equal copies.
 """
 
 from __future__ import annotations
@@ -122,6 +126,16 @@ class Circuit:
         return _Index(names, n1, n2, w, code[self.a], code[self.b])
 
 
+def _kept(c: Circuit, name: str, build):
+    """``build(c)``, done on the first request for ``name`` and then kept on
+    ``c`` (as ``Circuit._index`` is); nothing is kept when ``build`` raises."""
+    try:
+        return c.__dict__[name]
+    except KeyError:
+        value = c.__dict__[name] = build(c)
+        return value
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -163,8 +177,27 @@ def validate(c: Circuit) -> ValidationReport:
 
     Errors: degenerate port (a == b), self-loop branches, disconnected
     nodes, no a-b path.  Warnings: dangling non-port nodes (they carry no
-    current but are solvable).
+    current but are solvable).  A report without errors is kept on the
+    circuit, so a valid circuit is checked once; an invalid one is checked
+    on every call.
     """
+    rep = c.__dict__.get("_report")
+    if rep is None:
+        rep = _check(c)
+        if rep.ok:
+            c.__dict__["_report"] = rep
+    return rep
+
+
+def _require_valid(c: Circuit) -> None:
+    """Raise ``ValueError`` listing the errors of an invalid circuit."""
+    rep = validate(c)
+    if not rep.ok:
+        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
+
+
+def _check(c: Circuit) -> ValidationReport:
+    """The checks behind ``validate``, run every time."""
     issues: list[tuple[str, str]] = []
     idx = c._index
     names = idx.names

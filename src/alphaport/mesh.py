@@ -17,7 +17,10 @@ Loop bases are explicit inputs: the built-in fig_b1 carries the two-mesh
 basis plus the source loop; netlists can supply ``.mesh`` sections.  A
 basis is checked before solving: every loop closes, the source loop is a
 path from a to b, and the other loops are n_branches - n_nodes + 1
-independent ones.
+independent ones.  A circuit's declared basis is built and checked once
+and its network kept on the circuit (``_loop_network``), so repeated
+solves and profiles on it share one network; a basis passed to
+``mesh_solve`` is built and checked on every call.
 
 ``mesh_solve`` and the alpha-test share one loop-solve step
 (``_kvl_solve``): a circuit that declares a basis has its conductance
@@ -37,7 +40,7 @@ import numpy as np
 
 from ._newton import EPS, NewtonOutcome
 from .characteristic import Characteristic
-from .circuit import Circuit, Mesh, validate
+from .circuit import Circuit, Mesh, _kept, _require_valid
 from .network import Network, _check_drive
 from .solver import SolverError
 
@@ -65,14 +68,17 @@ class MeshSolution:
     iterations: int
 
 
-def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]]:
+def _loop_network(c: Circuit, basis: Sequence[Mesh] | None = None) -> tuple[Network, list[str]]:
     """KVL network A = diag(1/w) L, s = source / w of a loop basis.
 
-    Returns the network and the names of its unknown loops, in order.
+    Returns the network and the names of its unknown loops, in order.  The
+    circuit's declared basis (``basis`` None, meaning ``c.meshes``) is
+    built and checked once and kept on the circuit; any other basis is
+    built and checked on every call.
     """
-    rep = validate(c)
-    if not rep.ok:
-        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
+    if basis is None:
+        return _kept(c, "_loops", lambda c: _loop_network(c, c.meshes))
+    _require_valid(c)
     names = [m.name for m in basis]
     if "source" not in names:
         raise ValueError("mesh basis must include the loop named 'source'")
@@ -124,7 +130,7 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh]) -> tuple[Network, list[str]
     net = Network(n, lrows, lcols, np.bincount(entry, signs[loop]) / w[lrows], s, w)
     # the loops are independent iff the linear-start Gram matrix is
     # positive definite; a dependent set leaves a pivot at roundoff level
-    gram = net.linear_gram
+    gram = net.linear_gram()
     try:
         independent = bool(np.all(gram.cholesky_pivots() > DEPENDENT_PIVOT * gram.diagonal()))
     except np.linalg.LinAlgError:
@@ -155,8 +161,8 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     loop.  The co-energy (integral of f over current) is the convex merit.
     """
     _check_drive(f_resistive, i_in, "i_in")
-    basis = tuple(basis) if basis is not None else c.meshes
-    if not basis:
+    basis = None if basis is None else tuple(basis)
+    if not (c.meshes if basis is None else basis):
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")
     net, names = _loop_network(c, basis)
     f = f_resistive

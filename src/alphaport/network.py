@@ -407,9 +407,12 @@ class Network:
         cells = np.bincount(layout.pair_cell, weights.ravel(), minlength=total + 1)[:total]
         return BlockTridiagonal(layout, cells, diag, scale)
 
-    @cached_property
     def linear_gram(self) -> BlockTridiagonal:
-        """The f' = 1 matrix A^T diag(w) A of the linear start."""
+        """The f' = 1 matrix A^T diag(w) A of the linear start.
+
+        Built on each call and not kept: on a 100x100 grid its cells take
+        about 11 MB, three times the rest of the network.
+        """
         return self.gram(self.w)
 
     def values(self, x: np.ndarray, u: float) -> np.ndarray:
@@ -425,8 +428,20 @@ class Network:
         return REL_TOL * max(1.0, f(u))
 
     def linear_start(self, u: float) -> np.ndarray:
-        """Solution of the f' = 1 system A^T w (A x + s u) = 0."""
-        return self.linear_gram.solve(-self._transpose(self.w * self.s * u))
+        """Solution of the f' = 1 system A^T w (A x + s u) = 0.
+
+        At u = 1 this is ``unit_start``, solved once per network.
+        """
+        if u == 1.0:
+            return self.unit_start
+        return self.linear_gram().solve(-self._transpose(self.w * self.s * u))
+
+    @cached_property
+    def unit_start(self) -> np.ndarray:
+        """The linear start at u = 1, kept read-only because it is shared."""
+        x = self.linear_gram().solve(-self._transpose(self.w * self.s))
+        x.flags.writeable = False
+        return x
 
     def solve(self, f: Characteristic, u: float, x0: np.ndarray | None = None) -> NewtonOutcome:
         """Damped Newton on law f at drive u from ``x0``, or cold when it is None.

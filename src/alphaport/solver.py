@@ -20,6 +20,12 @@ built once per circuit.  Validation, the live split and the network build
 read it, and a solution is packaged from one potentials vector: branch
 drops, orientation, currents and both port sums are array operations, and
 the law is never called per branch.
+
+None of that topology work depends on the drive or the law, so it is done
+once per circuit too: the validation report, the live split and the
+network (``_nodal_network``) are kept on the circuit, and the network
+keeps its linear start at unit drive, read-only.  Every call on the same
+circuit shares them; solutions are never kept.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from ._newton import EPS, REL_TOL, max_iterations
 from .characteristic import Characteristic
-from .circuit import Branch, Circuit, _neighbours, validate
+from .circuit import Branch, Circuit, _kept, _neighbours, _require_valid
 from .network import Network, _check_drive, _currents, _integral
 
 __all__ = [
@@ -229,12 +235,15 @@ def _live_split(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _nodal_network(c: Circuit) -> _Nodal:
     """KCL network of the live branches over the live internal nodes.
 
-    Validates the circuit first.  The unknowns are the live internal nodes
-    in name order.
+    Built once per circuit and kept on it; an invalid circuit raises
+    ``ValueError`` instead, on every call.  The unknowns are the live
+    internal nodes in name order.
     """
-    rep = validate(c)
-    if not rep.ok:
-        raise ValueError("invalid circuit: " + "; ".join(rep.errors()))
+    return _kept(c, "_nodal", _build_nodal)
+
+
+def _build_nodal(c: Circuit) -> _Nodal:
+    _require_valid(c)
     idx = c._index
     alive, dead, anchor = _live_split(c)
     internal = np.ones(len(idx.names), dtype=bool)
@@ -265,9 +274,9 @@ def solve_dc(c: Circuit, f: Characteristic, v_in: float) -> DcSolution:
 def solve_grid(c: Circuit, f: Characteristic, grid) -> tuple[DcSolution, ...]:
     """``solve_dc`` at every drive of ``grid``, returned in grid order.
 
-    Every drive is checked before any solve.  The circuit is validated and
-    its network built once, and the drives are solved in ascending order
-    by ``_chain``.
+    Every drive is checked before any solve.  The drives share the
+    circuit's one ``_nodal_network`` and are solved in ascending order by
+    ``_chain``.
     """
     drives = [float(v) for v in grid]
     if not drives:

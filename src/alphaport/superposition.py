@@ -25,7 +25,7 @@ import numpy as np
 from .alpha import AlphaProfile, alpha_solve
 from .characteristic import Characteristic
 from .circuit import Circuit
-from .solver import DcSolution, solve_dc, solve_grid
+from .solver import DcSolution, _node_potentials, solve_dc, solve_grid
 
 __all__ = [
     "TermContribution",
@@ -325,19 +325,14 @@ def term_split_input_currents(c: Circuit, f: Characteristic, v_in: float,
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
     sol = solve_dc(c, f, v_in)
-    p = sol.potentials
-    node = c.a if side == "a" else c.b
-    ref = p[node]
-    shares = []
-    for d, a in f.terms:
-        total = 0.0
-        for br in c.branches:
-            if node not in (br.n1, br.n2) or br.n1 == br.n2:
-                continue
-            other = br.n1 if br.n2 == node else br.n2
-            total += br.w * d * abs(p[other] - ref) ** a
-        shares.append(total)
-    return tuple(shares)
+    idx = c._index
+    p = _node_potentials(c, sol.potentials)
+    k = idx.a if side == "a" else idx.b
+    at_n1, at_n2 = idx.n1 == k, idx.n2 == k
+    incident = at_n1 != at_n2  # self-loops excluded
+    drop = np.abs(p[np.where(at_n1, idx.n2, idx.n1)[incident]] - p[k])
+    w = idx.w[incident]
+    return tuple(float((w * d * drop**a).sum()) for d, a in f.terms)
 
 
 def d_growth_coefficient(c: Circuit, f: Characteristic, node: str,

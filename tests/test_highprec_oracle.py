@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from alphaport import Characteristic, alpha_solve, build_canonical, solve_dc
+from alphaport import Characteristic, alpha_solve, build_canonical, error_bound, report, solve_dc
 from alphaport.solver import _live_split
 from conftest import random_connected_circuit, square_grid
 
@@ -35,6 +35,14 @@ LAWS = {
 
 def mp_solve(c, terms, v_in, start):
     """Potentials and input current of law ``terms`` at drive ``v_in``, to 40 digits."""
+    with mpmath.mp.workdps(DIGITS):
+        p, i_in = mp_root(c, terms, v_in, start)
+        return {n: float(v) for n, v in p.items()}, float(i_in)
+
+
+def mp_root(c, terms, v_in, start):
+    """``mp_solve``'s potentials and input current as mpf values, at the
+    caller's working precision, from the double-precision ``start``."""
     mp = mpmath.mp
     alive, dead_codes, anchor_codes = _live_split(c)
     live = [c.branches[i] for i in alive]
@@ -78,18 +86,17 @@ def mp_solve(c, terms, v_in, start):
                     jac[row, col] += sign * g
         return jac
 
-    with mp.workdps(DIGITS):
-        p = potentials([])
-        if unknowns:
-            x0 = [mp.mpf(start[n]) for n in unknowns]
-            root = mpmath.findroot(residual, x0, J=jacobian)
-            p = potentials([root] if isinstance(root, mpmath.mpf) else list(root))
-        for node, anchor in dead_anchors:
-            p[node] = p[anchor]
-        # inflow at the grounded terminal b
-        i_in = sum(br.w * current(p[br.n1 if br.n2 == b else br.n2] - p[b])
-                   for br in c.branches if (br.n1 == b) != (br.n2 == b))
-        return {n: float(v) for n, v in p.items()}, float(i_in)
+    p = potentials([])
+    if unknowns:
+        x0 = [mp.mpf(start[n]) for n in unknowns]
+        root = mpmath.findroot(residual, x0, J=jacobian)
+        p = potentials([root] if isinstance(root, mpmath.mpf) else list(root))
+    for node, anchor in dead_anchors:
+        p[node] = p[anchor]
+    # inflow at the grounded terminal b
+    i_in = sum(br.w * current(p[br.n1 if br.n2 == b else br.n2] - p[b])
+               for br in c.branches if (br.n1 == b) != (br.n2 == b))
+    return p, i_in
 
 
 @pytest.mark.parametrize("law", list(LAWS))
@@ -128,3 +135,30 @@ def test_sublinear_phi_matches_40_digit_newton(name, route):
         prof = alpha_solve(c, alpha)
         _, phi = mp_solve(c, ((1.0, alpha),), 1.0, prof.d)
         assert prof.phi == pytest.approx(phi, rel=REL)
+
+
+@pytest.mark.parametrize("name", ["fig_a1", "fig3"])
+def test_error_bound_matches_40_digit_profiles(name):
+    """The v + v**3 drop bound from 40-digit unit-drive profiles (d = p at
+    v_in = 1), against ``error_bound``; the 40-digit F and G obey it."""
+    c = CIRCUITS[name]
+    (_, m), (_, n) = terms = LAWS["v+v^3"]
+    with mpmath.mp.workdps(DIGITS):
+        dm, phi_m = mp_root(c, ((1.0, m),), 1.0, alpha_solve(c, m).d)
+        dn, phi_n = mp_root(c, ((1.0, n),), 1.0, alpha_solve(c, n).d)
+        for v_in in (0.1, 1.0, 10.0):
+            total = 0
+            for br in c.branches:
+                vm = v_in * abs(dm[br.n1] - dm[br.n2])
+                vn = v_in * abs(dn[br.n1] - dn[br.n2])
+                if vn >= vm:
+                    total += br.w * (vn ** (n + 1) - vm ** (n + 1))
+                else:
+                    total += br.w * (vm ** (m + 1) - vn ** (m + 1))
+            bound = total / v_in
+            _, F = mp_root(c, terms, v_in, solve_dc(c, Characteristic(terms), v_in).potentials)
+            G = phi_m * v_in**m + phi_n * v_in**n
+            assert abs(F - G) <= bound
+            assert error_bound(c, m, n, v_in) == pytest.approx(float(bound), rel=REL)
+            assert report(c, Characteristic(terms), v_in).bound == pytest.approx(
+                float(bound), rel=REL)

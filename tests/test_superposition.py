@@ -293,6 +293,21 @@ class TestTermSplit:
         with pytest.raises(ValueError):
             term_split_input_currents(FIG_A1, CUBE_LAW, 1.0, side="c")
 
+    def test_matches_a_loop_over_the_branches(self):
+        circuits = [FIG_A1, FIG3, build_canonical("ladder", sections=6)]
+        rng = random.Random(29)
+        circuits += [random_connected_circuit(rng) for _ in range(8)]
+        f = Characteristic(((2.0, 0.5), (1.0, 1.0), (0.5, 3.0)))
+        for c in circuits:
+            p = solve_dc(c, f, 1.7).potentials
+            for side in ("a", "b"):
+                node = c.a if side == "a" else c.b
+                expected = [sum(br.w * d * abs(p[br.n1 if br.n2 == node else br.n2] - p[node]) ** a
+                                for br in c.branches if (br.n1 == node) != (br.n2 == node))
+                            for d, a in f.terms]
+                shares = term_split_input_currents(c, f, 1.7, side=side)
+                assert shares == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
 class TestParallelBranchEffect:
     def test_direct_port_conductor_leaves_gap_unchanged(self):
