@@ -43,7 +43,10 @@ from .characteristic import Characteristic
 
 __all__ = ["BlockTridiagonal", "Network"]
 
-# Smallest exponent above which a cold solve is continued (Network.solve).
+# Smallest exponent above which a cold solve is continued (Network.solve),
+# and the exponent of its first law, the one started linear.  Up to twice
+# this there are two laws with plain starts; from the third law on, each
+# starts from the secant of the two before it.
 CONTINUATION_START = 8.0
 # Diagonal bump applied when a sublinear exponent meets a (numerically)
 # zero branch value, where the true slope diverges.
@@ -448,8 +451,11 @@ class Network:
 
         A cold solve starts linear; when f's smallest exponent m is above
         CONTINUATION_START it first solves f with its exponents scaled by
-        s / m for s = 8, 16, ... below m, each step warm-starting the next.
-        Only the last law's outcome is judged; its iterations are summed.
+        s / m for s = 8, 16, ... below m.  The first two laws start from
+        the linear start and from the first law's solution; each later law
+        starts from the secant through the two laws solved before it, in
+        t = 1 / (smallest exponent), a predictor-corrector step.  Only the
+        last law's outcome is judged; its iterations are summed.
         """
         laws = [f]
         if x0 is None:
@@ -460,11 +466,17 @@ class Network:
                 laws.insert(-1, Characteristic(tuple((d, s * (a / m)) for d, a in f.terms)))
                 s *= 2.0
         iterations = 0
+        solved: list[tuple[float, np.ndarray]] = []
         for law in laws:
+            t = 1.0 / law.min_exponent
+            if len(solved) == 2:
+                (t_a, x_a), (t_b, x_b) = solved
+                x0 = x_b + (x_b - x_a) * ((t - t_b) / (t_b - t_a))
             outcome = damped_newton(x0, *self.equations(law, u), abs_tol=self.abs_tol(law, u),
                                     max_iters=max_iterations())
             iterations += outcome.iterations
             x0 = outcome.x
+            solved = solved[-1:] + [(t, x0)]
         outcome.iterations = iterations
         return outcome
 

@@ -9,6 +9,7 @@ from alphaport import (
     Characteristic,
     Circuit,
     SolverError,
+    _newton,
     alpha_solve,
     build_canonical,
     co_content,
@@ -297,7 +298,8 @@ def ring_corpus(draws):
 
 class TestExponentContinuation:
     """A cold solve reaches a smallest exponent above 8 through 8, 16, ...
-    (``Network.solve``), for drives and profiles alike."""
+    (``Network.solve``), for drives and profiles alike; each law from the
+    third on starts from the secant of the two solved before it."""
 
     def test_ring_corpus_solves_superlinear_exponents(self):
         # cold Newton at the final law failed draws 1, 2, 4, 5, 8, 9, 11,
@@ -331,6 +333,52 @@ class TestExponentContinuation:
         assert laws[:3] == [(8.0,), (16.0,), (20.0,)]
         assert len(spent) == 3 and min(spent) > 0
         assert sol.iterations == sum(spent)
+
+    def test_hardlimiter_profiles_on_ring_draws_solve_without_polish(self, monkeypatch):
+        # plain doubling failed draws 31 and 36 at 64; a secant predictor
+        # that counted the linear start as a solved law sent draw 31 at 20
+        # into thousands of coordinate-polish calls
+        polish = []
+        coordinate = _newton._polish_coordinate
+
+        def counting(*args):
+            polish.append(args)
+            return coordinate(*args)
+
+        monkeypatch.setattr(_newton, "_polish_coordinate", counting)
+        ring = ring_corpus(37)
+        for alpha in (20.0, 64.0):
+            assert alpha_solve(ring[31], alpha).phi > 0.0
+        assert polish == []
+        assert alpha_solve(ring[36], 64.0).phi > 0.0
+
+    @pytest.mark.parametrize("alpha", [9.0, 16.0, 64.0])
+    def test_later_laws_start_from_the_secant_of_the_two_before(self, monkeypatch, alpha):
+        starts, ends = [], []
+        newton = network.damped_newton
+
+        def recording_newton(x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            outcome = newton(x0, *args, **kwargs)
+            ends.append(outcome.x.copy())
+            return outcome
+
+        monkeypatch.setattr(network, "damped_newton", recording_newton)
+        ladder = build_canonical("ladder", sections=15)
+        solve_dc(ladder, power_law(alpha), 1.0)
+        steps = [8.0, 16.0, 32.0, 64.0] if alpha == 64.0 else [8.0, alpha]
+        assert len(starts) == len(steps)
+        assert np.array_equal(starts[0], _nodal_network(ladder)[0].unit_start)
+        assert np.array_equal(starts[1], ends[0])
+        for k in range(2, len(steps)):
+            t_a, t_b, t = (1.0 / s for s in steps[k - 2:k + 1])
+            secant = ends[k - 1] + (ends[k - 1] - ends[k - 2]) * (t - t_b) / (t_b - t_a)
+            np.testing.assert_allclose(starts[k], secant, rtol=1e-14, atol=0.0)
+            assert not np.array_equal(starts[k], ends[k - 1])
+
+    def test_predictor_shortens_the_hardlimiter_grid_solve(self):
+        # 39 iterations when each law starts from the previous solution
+        assert solve_dc(square_grid(20), power_law(64.0), 1.0).iterations <= 32
 
     def test_multi_term_law_scales_by_its_smallest_exponent(self, monkeypatch):
         laws = record_laws(monkeypatch)
