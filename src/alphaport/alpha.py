@@ -93,8 +93,8 @@ def _exponent_chain(c: Circuit, alphas: tuple[float, ...]) -> list[AlphaProfile]
     nodal = list(alphas[len(dual):])
     if not nodal:
         return profiles
-    laws = [(Characteristic(((1.0, a),)), 1.0) for a in nodal]
-    solutions = _chain(c, _nodal_network(c), laws)
+    laws = [Characteristic(((1.0, a),)) for a in nodal]
+    solutions = _chain(c, _nodal_network(c), [(f, 1.0, f, 1.0) for f in laws])  # g = f, k = 1
     return profiles + [
         AlphaProfile(alpha=a, d={n: min(max(p, 0.0), 1.0) for n, p in sol.potentials.items()},
                      phi=sol.input_current)
@@ -120,8 +120,8 @@ def _dual_profiles(c: Circuit, alphas: list[float]) -> list[AlphaProfile]:
     x = None
     for a in reversed(alphas):
         f = Characteristic(((1.0, 1.0 / a),))
-        x = _kvl_solve(net, f, 1.0, x).x
-        volts = _currents(f, net.values(x, 1.0)).tolist()  # p(n1) - p(n2)
+        x = _kvl_solve(net, f, x).x
+        volts = _currents(f, net.values(x)).tolist()  # p(n1) - p(n2)
         p = [0.0] * len(idx.names)
         for node, parent, branch, sign in tree:
             p[node] = p[parent] + sign * volts[branch]

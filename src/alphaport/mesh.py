@@ -11,7 +11,8 @@ alpha -> 1/alpha, D -> D**-alpha, phi -> phi(1/alpha)**-alpha, which
 generalizes r_in = 1/g_in beyond the linear case.  Large exponents now
 produce current (not voltage) hardlimiters.  The loop equations are the
 nodal solver's network equation A^T w f(A x + s i_in) = 0 (network.py)
-with A = diag(1/w) L for the loop matrix L and s = source / w.
+with A = diag(1/w) L for the loop matrix L and s = source / w, solved at
+unit source current and scaled back as every drive is.
 
 Loop bases are explicit inputs: the built-in fig_b1 carries the two-mesh
 basis plus the source loop; netlists can supply ``.mesh`` sections.  A
@@ -41,7 +42,7 @@ import numpy as np
 from ._newton import EPS, NewtonOutcome
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh, _kept, _require_valid
-from .network import Network, _check_drive
+from .network import Network, _unit_drive
 from .solver import SolverError
 
 __all__ = [
@@ -130,7 +131,7 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh] | None = None) -> tuple[Netw
     net = Network(n, lrows, lcols, np.bincount(entry, signs[loop]) / w[lrows], s, w)
     # the loops are independent iff the linear-start Gram matrix is
     # positive definite; a dependent set leaves a pivot at roundoff level
-    gram = net.linear_gram()
+    gram = net.gram(net.w)
     try:
         independent = bool(np.all(gram.cholesky_pivots() > DEPENDENT_PIVOT * gram.diagonal()))
     except np.linalg.LinAlgError:
@@ -140,11 +141,11 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh] | None = None) -> tuple[Netw
     return net, [m.name for m in unknowns]
 
 
-def _kvl_solve(net: Network, f: Characteristic, i_in: float,
-               x0: np.ndarray | None = None) -> NewtonOutcome:
-    """The loop-solve step of ``mesh_solve`` and of the dual profiles in
-    alpha.py: ``net.solve``, raising ``SolverError`` when it does not converge."""
-    outcome = net.solve(f, i_in, x0)
+def _kvl_solve(net: Network, f: Characteristic, x0: np.ndarray | None = None) -> NewtonOutcome:
+    """The unit-current loop-solve step of ``mesh_solve`` and of the dual
+    profiles in alpha.py: ``net.solve``, raising ``SolverError`` when it
+    does not converge."""
+    outcome = net.solve(f, x0)
     if not outcome.converged:
         raise SolverError(
             f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
@@ -160,26 +161,25 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     parallel elements.  The input voltage is collected around the source
     loop.  The co-energy (integral of f over current) is the convex merit.
     """
-    _check_drive(f_resistive, i_in, "i_in")
+    g, k = _unit_drive(f_resistive, i_in, "i_in")
     basis = None if basis is None else tuple(basis)
     if not (c.meshes if basis is None else basis):
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")
     net, names = _loop_network(c, basis)
-    f = f_resistive
-    outcome = _kvl_solve(net, f, i_in)
+    outcome = _kvl_solve(net, g)
 
     # s . w f(y) = source . f(y): the element voltages around the source loop
-    v_in = float(net.s @ net.flows(f, outcome.x, i_in))
+    v_in = k * float(net.s @ net.flows(g, outcome.x))
     phi = None
-    if len(f.terms) == 1:
-        d, a = f.terms[0]
+    if len(f_resistive.terms) == 1:
+        d, a = f_resistive.terms[0]
         phi = v_in / (d * i_in**a)
     return MeshSolution(
         i_in=float(i_in),
-        mesh_currents={name: float(val) for name, val in zip(names, outcome.x)},
+        mesh_currents=dict(zip(names, (i_in * outcome.x).tolist())),
         input_voltage=v_in,
         phi_meshes=phi,
-        residual_norm=float(outcome.residual_inf),
+        residual_norm=k * float(outcome.residual_inf),
         iterations=int(outcome.iterations),
     )
 

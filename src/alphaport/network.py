@@ -9,6 +9,10 @@ the branches at the driven terminal, u = v_in, y the branch drops.  Loop:
 x are the loop currents, A = diag(1/w) L for the loop matrix L,
 s = source / w, u = i_in, y the per-element currents.
 
+A ``Network`` solves only at unit drive: drive u of law f is the unit
+drive of g(t) = f(u t) / k, k = min(1, f(u)) (``_unit_drive``), whose
+unknowns are x / u and whose residuals are f's divided by k.
+
 A is kept in padded-row form: index and value arrays of shape (branches,
 most entries in a row), padded with a sentinel column n that gathers a
 zero and is cut off every sum, so each product is a gather or a bincount.
@@ -49,7 +53,8 @@ __all__ = ["BlockTridiagonal", "Network"]
 # starts from the secant of the two before it.
 CONTINUATION_START = 8.0
 # Diagonal bump applied when a sublinear exponent meets a (numerically)
-# zero branch value, where the true slope diverges.
+# zero branch value, where the true slope diverges.  Needed for v**0.2 on
+# the tests' ring corpus draw 9 (64-160 nodes), which fails without it.
 SINGULAR_SLOPE_REG = 1e-9
 ZERO_DROP = 1e-12
 # Guards the tolerance-floor granule when every term forming y_k is 0.
@@ -59,16 +64,19 @@ TINY_SCALE = 1e-300
 MIN_BLOCK = 32
 
 
-def _check_drive(f: Characteristic, u: float, name: str) -> None:
-    """Reject a drive u whose flow scale f(u) the solver cannot resolve.
+def _unit_drive(f: Characteristic, u: float, name: str) -> tuple[Characteristic, float]:
+    """The unit-drive law g(t) = f(u t) / k of drive u, and k = min(1, f(u)).
 
-    The tolerances are shares of f(u): it must be finite, and REL_TOL * f(u)
+    g(1) = max(1, f(u)); terms whose current at u underflows are dropped.
+    Rejects a drive whose flow scale f(u) the solver cannot resolve: the
+    tolerances are shares of it, so it must be finite, and REL_TOL * f(u)
     must not fall below TINY, where every residual would count as converged.
     """
     if not u > 0.0:
         raise ValueError(f"{name} must be positive, got {u}")
     try:
-        scale = f(u)
+        at_u = [(d * u**a, a) for d, a in f.terms]
+        scale = sum(c for c, _ in at_u)
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
@@ -76,6 +84,8 @@ def _check_drive(f: Characteristic, u: float, name: str) -> None:
     if REL_TOL * scale < TINY:
         raise ValueError(f"{name} = {u:g} is too small: the law's current there, "
                          f"{scale:.3g}, is below what the solver resolves")
+    k = min(1.0, scale)
+    return Characteristic(tuple((c / k, a) for c, a in at_u if c > 0.0)), k
 
 
 def _currents(f: Characteristic, y: np.ndarray) -> np.ndarray:
@@ -350,7 +360,7 @@ class BlockTridiagonal:
 
 
 class Network:
-    """``A^T w f(A x + s u) = 0`` for one topology, with n unknowns.
+    """``A^T w f(A x + s) = 0`` for one topology, with n unknowns.
 
     A is given as coordinate triplets (branch ``rows``, unknown ``cols``,
     ``vals``), at most one per row and column below n; entries in column n
@@ -410,56 +420,39 @@ class Network:
         cells = np.bincount(layout.pair_cell, weights.ravel(), minlength=total + 1)[:total]
         return BlockTridiagonal(layout, cells, diag, scale)
 
-    def linear_gram(self) -> BlockTridiagonal:
-        """The f' = 1 matrix A^T diag(w) A of the linear start.
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """y = A x + s: branch drops (nodal) or element currents (loop)."""
+        return self._terms(x).sum(axis=1) + self.s
 
-        Built on each call and not kept: on a 100x100 grid its cells take
-        about 11 MB, three times the rest of the network.
-        """
-        return self.gram(self.w)
-
-    def values(self, x: np.ndarray, u: float) -> np.ndarray:
-        """y = A x + s u: branch drops (nodal) or element currents (loop)."""
-        return self._terms(x).sum(axis=1) + self.s * u
-
-    def flows(self, f: Characteristic, x: np.ndarray, u: float) -> np.ndarray:
+    def flows(self, f: Characteristic, x: np.ndarray) -> np.ndarray:
         """w f(y): branch currents (nodal) or w times element voltages (loop)."""
-        return self.w * _currents(f, self.values(x, u))
-
-    def abs_tol(self, f: Characteristic, u: float) -> float:
-        """Flat tolerance at the scale of the drive's own flow, f(u)."""
-        return REL_TOL * max(1.0, f(u))
-
-    def linear_start(self, u: float) -> np.ndarray:
-        """Solution of the f' = 1 system A^T w (A x + s u) = 0.
-
-        At u = 1 this is ``unit_start``, solved once per network.
-        """
-        if u == 1.0:
-            return self.unit_start
-        return self.linear_gram().solve(-self._transpose(self.w * self.s * u))
+        return self.w * _currents(f, self.values(x))
 
     @cached_property
     def unit_start(self) -> np.ndarray:
-        """The linear start at u = 1, kept read-only because it is shared."""
-        x = self.linear_gram().solve(-self._transpose(self.w * self.s))
+        """Solution of A^T w (A x + s) = 0 (f' = 1), every cold solve's start,
+        kept read-only because it is shared.  Its matrix is not kept: on a
+        100x100 grid it takes about 11 MB, three times the rest of the network.
+        """
+        x = self.gram(self.w).solve(-self._transpose(self.w * self.s))
         x.flags.writeable = False
         return x
 
-    def solve(self, f: Characteristic, u: float, x0: np.ndarray | None = None) -> NewtonOutcome:
-        """Damped Newton on law f at drive u from ``x0``, or cold when it is None.
+    def solve(self, f: Characteristic, x0: np.ndarray | None = None) -> NewtonOutcome:
+        """Damped Newton on law f at unit drive from ``x0``, or cold when it is None.
 
-        A cold solve starts linear; when f's smallest exponent m is above
-        CONTINUATION_START it first solves f with its exponents scaled by
-        s / m for s = 8, 16, ... below m.  The first two laws start from
-        the linear start and from the first law's solution; each later law
-        starts from the secant through the two laws solved before it, in
-        t = 1 / (smallest exponent), a predictor-corrector step.  Only the
-        last law's outcome is judged; its iterations are summed.
+        A cold solve starts from ``unit_start``; when f's smallest exponent
+        m is above CONTINUATION_START it first solves f with its exponents
+        scaled by s / m for s = 8, 16, ... below m.  The first two laws
+        start from the linear start and from the first law's solution;
+        each later law starts from the secant through the two laws solved
+        before it, in t = 1 / (smallest exponent), a predictor-corrector
+        step.  Only the last law's outcome is judged; its iterations are
+        summed.
         """
         laws = [f]
         if x0 is None:
-            x0 = self.linear_start(u)
+            x0 = self.unit_start
             m = f.min_exponent
             s = CONTINUATION_START
             while s < m:
@@ -472,7 +465,7 @@ class Network:
             if len(solved) == 2:
                 (t_a, x_a), (t_b, x_b) = solved
                 x0 = x_b + (x_b - x_a) * ((t - t_b) / (t_b - t_a))
-            outcome = damped_newton(x0, *self.equations(law, u), abs_tol=self.abs_tol(law, u),
+            outcome = damped_newton(x0, *self.equations(law), abs_tol=REL_TOL * law(1.0),
                                     max_iters=max_iterations())
             iterations += outcome.iterations
             x0 = outcome.x
@@ -480,23 +473,22 @@ class Network:
         outcome.iterations = iterations
         return outcome
 
-    def equations(self, f: Characteristic, u: float):
-        """residual, jacobian, objective and tolerances of law f at drive u.
+    def equations(self, f: Characteristic):
+        """residual, jacobian, objective and tolerances of law f at unit drive.
 
         Returned in ``damped_newton``'s positional order.  They share one
         evaluation of the terms of A x, y and the flows per iterate, keyed
         on the iterate's value, since a caller may change x in place.
         """
-        w = self.w
-        su = self.s * u
-        abs_tol = self.abs_tol(f, u)
+        w, s = self.w, self.s
+        abs_tol = REL_TOL * f(1.0)
         sublinear = f.min_exponent < 1.0
         last: list = [None, None]
 
         def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if last[0] is None or not np.array_equal(last[0], x):
                 terms = self._terms(x)
-                y = terms.sum(axis=1) + su
+                y = terms.sum(axis=1) + s
                 last[0], last[1] = x.copy(), (terms, y, w * _currents(f, y))
             return last[1]
 
@@ -518,7 +510,7 @@ class Network:
             # drive-scale tolerance), plus the roundoff floor of forming
             # each y_k from its terms, a granule of EPS * max |term|
             terms, y, flows = evaluate(x)
-            scale = np.maximum(np.abs(terms).max(axis=1), np.abs(su))
+            scale = np.maximum(np.abs(terms).max(axis=1), np.abs(s))
             flow = self._transpose(np.abs(flows), self._abs_value)
             slo = w * _floor_slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
             floor = self._transpose(slo * scale, self._abs_value)

@@ -3,10 +3,11 @@
 Unknowns are the internal node potentials x; the input terminals are
 pinned to (v_in, 0).  KCL is the network equation A^T w f(A x + s v_in) = 0
 of network.py, with A the signed incidence of the live branches over the
-internal nodes and s their incidence on the driven terminal.  Damped Newton
-solves it, safeguarded by a line search on the co-content (the per-branch
-integral of the conductor law), which is strictly convex in x, so the
-solution exists, is unique and is always found.
+internal nodes and s their incidence on the driven terminal, solved at
+unit drive and scaled back (see network.py).  Damped Newton solves it,
+safeguarded by a line search on the co-content (the per-branch integral
+of the conductor law), which is strictly convex in x, so the solution
+exists, is unique and is always found.
 
 Branches that lie on no path between the input terminals carry no current;
 they are trimmed before the iteration (see _live_split) and their nodes
@@ -24,8 +25,8 @@ the law is never called per branch.
 None of that topology work depends on the drive or the law, so it is done
 once per circuit too: the validation report, the live split and the
 network (``_nodal_network``) are kept on the circuit, and the network
-keeps its linear start at unit drive, read-only.  Every call on the same
-circuit shares them; solutions are never kept.
+keeps its linear start, read-only, which every drive shares.  Every call
+on the same circuit shares them; solutions are never kept.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from ._newton import EPS, REL_TOL, max_iterations
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, _kept, _neighbours, _require_valid
-from .network import Network, _check_drive, _currents, _integral
+from .network import Network, _currents, _integral, _unit_drive
 
 __all__ = [
     "SolverError",
@@ -95,9 +96,8 @@ class _Nodal(NamedTuple):
     live: np.ndarray
 
 
-def _snap_equal_potentials(c: Circuit, nodal: _Nodal, x: np.ndarray,
-                           v_in: float) -> "np.ndarray | None":
-    """Collapse numerically-zero branch drops to exact equality.
+def _snap_equal_potentials(c: Circuit, nodal: _Nodal, x: np.ndarray) -> "np.ndarray | None":
+    """Collapse numerically-zero branch drops at unit drive to exact equality.
 
     Symmetric topologies put pairs of nodes at identical potentials; the
     iteration leaves them a few ulps apart, and for sublinear laws the
@@ -109,7 +109,7 @@ def _snap_equal_potentials(c: Circuit, nodal: _Nodal, x: np.ndarray,
     place = np.full(len(idx.names), -1)
     place[nodal.unknown] = np.arange(n)
     place[[idx.a, idx.b]] = n, n + 1
-    values = np.concatenate((x, [v_in, 0.0]))
+    values = np.concatenate((x, [1.0, 0.0]))
     e1, e2 = place[idx.n1[nodal.live]], place[idx.n2[nodal.live]]
     p1, p2 = values[e1], values[e2]
     gap = np.abs(p1 - p2)
@@ -266,7 +266,7 @@ def solve_dc(c: Circuit, f: Characteristic, v_in: float) -> DcSolution:
     """Solve KCL at every internal node for the given drive voltage.
 
     The one-drive case of ``solve_grid``: the iteration starts from the
-    unit-conductance linear solution.
+    unit-conductance linear solution at unit drive.
     """
     return solve_grid(c, f, (v_in,))[0]
 
@@ -281,52 +281,49 @@ def solve_grid(c: Circuit, f: Characteristic, grid) -> tuple[DcSolution, ...]:
     drives = [float(v) for v in grid]
     if not drives:
         raise ValueError("drive grid is empty")
-    for v in drives:
-        _check_drive(f, v, "v_in")
+    units = [_unit_drive(f, v, "v_in") for v in drives]
     order = sorted(range(len(drives)), key=drives.__getitem__)
-    solutions = _chain(c, _nodal_network(c), [(f, drives[i]) for i in order])
+    solutions = _chain(c, _nodal_network(c), [(f, drives[i], *units[i]) for i in order])
     by_index = dict(zip(order, solutions))
     return tuple(by_index[i] for i in range(len(drives)))
 
 
 def _chain(c: Circuit, nodal: _Nodal, steps) -> list[DcSolution]:
-    """Solve (law, drive) ``steps`` in order on one prepared ``_nodal_network``.
-
-    The first step starts cold; each later one is warm-started from the
-    previous unknowns scaled by the drive ratio.
+    """Solve ``steps``, each (f, v_in, g, k) as in ``_solve``, in order on one
+    prepared ``_nodal_network``.  The first starts cold, each later one from
+    the previous unit-drive unknowns.
     """
     solutions: list[DcSolution] = []
     x = None
-    for f, v in steps:
-        x0 = None if x is None else x * (v / solutions[-1].v_in)
-        sol, x = _solve(c, f, v, nodal, x0)
+    for step in steps:
+        sol, x = _solve(c, *step, nodal, x)
         solutions.append(sol)
     return solutions
 
 
-def _solve(c: Circuit, f: Characteristic, v_in: float, nodal: _Nodal,
-           x0: np.ndarray | None) -> tuple[DcSolution, np.ndarray]:
-    """One drive of a prepared ``_nodal_network``; ``x0=None`` starts cold.
-
-    Returns the solution and its unknowns.
+def _solve(c: Circuit, f: Characteristic, v_in: float, g: Characteristic, k: float,
+           nodal: _Nodal, x0: np.ndarray | None) -> tuple[DcSolution, np.ndarray]:
+    """Drive v_in of law f, solved as the unit drive of ``(g, k) = _unit_drive(f,
+    v_in, ...)``; ``x0=None`` starts cold.  Returns the solution and its
+    unit-drive unknowns.
     """
     net = nodal.net
-    outcome = net.solve(f, v_in, x0)
+    outcome = net.solve(g, x0)
     if not outcome.converged:
-        snapped = _snap_equal_potentials(c, nodal, outcome.x, v_in)
+        snapped = _snap_equal_potentials(c, nodal, outcome.x)
         if snapped is not None:
-            outcome = net.solve(f, v_in, snapped)
+            outcome = net.solve(g, snapped)
     if not outcome.converged:
         raise SolverError(
             f"KCL iteration did not converge within {max_iterations()} "
             f"iterations (residual {outcome.residual_inf:.3e}); "
             "valid circuits always converge, so check the inputs")
-    residual_sum = float(np.abs(outcome.residual).sum())
+    residual_sum = k * float(np.abs(outcome.residual).sum())
 
     idx = c._index
     p = np.empty(len(idx.names))
     p[idx.a], p[idx.b] = v_in, 0.0
-    p[nodal.unknown] = outcome.x
+    p[nodal.unknown] = v_in * outcome.x
     p[nodal.dead] = p[nodal.anchor]
     drop = p[idx.n1] - p[idx.n2]
     flow = idx.w * _currents(f, drop)  # from n1 to n2
@@ -352,7 +349,7 @@ def _solve(c: Circuit, f: Characteristic, v_in: float, nodal: _Nodal,
         branch_voltages=tuple(np.abs(drop).tolist()),
         branch_currents=tuple(np.abs(flow).tolist()),
         input_current=i_b,
-        residual_norm=float(outcome.residual_inf),
+        residual_norm=k * float(outcome.residual_inf),
         residual_sum=residual_sum,
         iterations=int(outcome.iterations),
     )

@@ -1,4 +1,4 @@
-"""The shared network core: A^T w f(A x + s u) = 0 for nodal and loop bases."""
+"""The shared network core: A^T w f(A x + s) = 0 for nodal and loop bases."""
 
 import os
 import random
@@ -14,12 +14,12 @@ import alphaport
 from alphaport import Characteristic, Circuit, build_canonical, solve_dc
 from alphaport._newton import _solve_step
 from alphaport.mesh import _loop_network
+from alphaport.network import _unit_drive
 from alphaport.solver import _nodal_network
 
 # smooth and strictly monotone, so central differences are accurate
 LAW = Characteristic(((1.0, 1.0), (0.5, 1.5), (0.7, 3.0)))
 LINEAR = Characteristic(((1.0, 1.0),))
-DRIVE = 1.3
 
 
 def fig_a1_nodal():
@@ -69,7 +69,7 @@ MULTI_BLOCK = pytest.mark.parametrize(
 def probe_point(net):
     # the linear start, moved off any symmetric point
     rng = np.random.default_rng(7)
-    return net.linear_start(DRIVE) + 0.05 * rng.standard_normal(net.n)
+    return net.unit_start + 0.05 * rng.standard_normal(net.n)
 
 
 def central_difference(fn, x, h=1e-6):
@@ -85,7 +85,7 @@ def central_difference(fn, x, h=1e-6):
 def test_residual_is_gradient_of_merit(build):
     net = build()
     assert net.n > 0
-    residual, _, objective, _ = net.equations(LAW, DRIVE)
+    residual, _, objective, _ = net.equations(LAW)
     x = probe_point(net)
     numeric = central_difference(objective, x)
     np.testing.assert_allclose(residual(x), numeric, rtol=1e-6, atol=1e-8)
@@ -94,7 +94,7 @@ def test_residual_is_gradient_of_merit(build):
 @NETWORKS
 def test_jacobian_is_symmetric_derivative_of_residual(build):
     net = build()
-    residual, jacobian, _, _ = net.equations(LAW, DRIVE)
+    residual, jacobian, _, _ = net.equations(LAW)
     x = probe_point(net)
     J = jacobian(x)
     Jfd = central_difference(residual, x)
@@ -108,9 +108,35 @@ def test_jacobian_is_symmetric_derivative_of_residual(build):
 @NETWORKS
 def test_linear_start_solves_linear_system(build):
     net = build()
-    residual = net.equations(LINEAR, DRIVE)[0]
-    x = net.linear_start(DRIVE)
-    assert np.max(np.abs(residual(x))) <= 1e-14 * DRIVE * net.w.sum()
+    residual = net.equations(LINEAR)[0]
+    x = net.unit_start
+    assert np.max(np.abs(residual(x))) <= 1e-14 * net.w.sum()
+
+
+@pytest.mark.parametrize("terms", [((1.0, 1.0), (1.0, 3.0)), ((0.5, 64.0),), ((3.0, 0.2),),
+                                   ((0.3, 0.5), (0.2, 2.0), (0.1, 7.0))])
+@pytest.mark.parametrize("u", [1e-3, 0.5, 1.0, 2.0, 1e3])
+def test_unit_drive_law_carries_the_drive_and_the_flow_scale(terms, u):
+    f = Characteristic(terms)
+    g, k = _unit_drive(f, u, "v_in")
+    assert k == min(1.0, f(u))
+    assert g(1.0) == pytest.approx(max(1.0, f(u)), rel=4 * np.finfo(float).eps)
+    for t in (0.1, 0.7, 1.3):
+        assert k * g(t) == pytest.approx(f(u * t), rel=1e-13)
+
+
+def test_unit_drive_of_one_term_law_below_unit_flow_is_the_bare_power():
+    for terms, u in (((0.5, 64.0), 1e-3), ((3.0, 0.2), 1e-3), ((1.0, 2.0), 1.0), ((0.25, 1.0), 4.0)):
+        g, k = _unit_drive(Characteristic((terms,)), u, "v_in")
+        assert g.terms == ((1.0, terms[1]),)
+        assert k == terms[0] * u ** terms[1]
+
+
+def test_unit_drive_drops_a_term_that_underflows():
+    g, k = _unit_drive(Characteristic(((1.0, 1.0), (1.0, 64.0))), 1e-6, "v_in")
+    assert g.terms == ((1.0, 1.0),)
+    assert g.min_exponent == 1.0
+    assert k == 1e-6
 
 
 def dense_matrix(net, g):

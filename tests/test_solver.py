@@ -171,7 +171,7 @@ class TestSolutionProperties:
         for _ in range(5):
             start = {n: rng.uniform(0.0, 1.0) for n in FIG_A1.internal_nodes()}
             x0 = np.array([start[n] for n in nodal[1]])
-            sol = _solve(FIG_A1, CUBE_LAW, 1.0, nodal, x0)[0]
+            sol = _solve(FIG_A1, CUBE_LAW, 1.0, CUBE_LAW, 1.0, nodal, x0)[0]
             spread = max(abs(sol.potentials[n] - reference.potentials[n])
                          for n in FIG_A1.nodes)
             assert spread <= 1e-9
@@ -277,14 +277,55 @@ def power_law(alpha):
     return Characteristic(((1.0, alpha),))
 
 
+def small_multigraphs():
+    rng = random.Random(5)
+    return [random_connected_circuit(rng, max_internal=8, max_extra=8) for _ in range(200)]
+
+
+SMALL_MULTIGRAPHS = small_multigraphs()
+
+
+def max_gap(c, d1, d2):
+    return max(abs(d1[n] - d2[n]) for n in c.nodes)
+
+
+class TestUnitDrive:
+    """Every drive is solved as the unit drive of a rescaled law, so a
+    one-term law at any drive below its unit current solves v**alpha itself."""
+
+    @pytest.mark.parametrize("draw", [10, 68, 71, 111, 135, 159])
+    def test_small_drive_matches_profile_where_currents_underflow(self, draw):
+        # solved at drive 1e-3 itself, every current at some node underflowed
+        # and the node counted as converged up to 4.7e-5 away
+        c = SMALL_MULTIGRAPHS[draw]
+        sol = solve_dc(c, power_law(64.0), 1e-3)
+        assert max_gap(c, sol.d, alpha_solve(c, 64.0).d) <= 1e-15
+
+    def test_small_sublinear_drive_converges_to_profile(self):
+        c = SMALL_MULTIGRAPHS[6]
+        sol = solve_dc(c, power_law(0.2), 1e-3)
+        assert max_gap(c, sol.d, alpha_solve(c, 0.2).d) <= 1e-15
+
+    def test_coefficient_and_drive_drop_out_of_a_one_term_law(self):
+        ladder = build_canonical("ladder", sections=40)
+        sol = solve_dc(ladder, Characteristic(((0.5, 64.0),)), 1e-3)
+        assert max_gap(ladder, sol.d, alpha_solve(ladder, 64.0).d) <= 1e-15
+
+    def test_warm_drives_of_a_one_term_law_take_no_iterations(self):
+        ladder = build_canonical("ladder", sections=15)
+        sols = solve_grid(ladder, Characteristic(((2.0, 64.0),)), np.geomspace(0.1, 10.0, 7))
+        assert sols[0].iterations > 0
+        assert [s.iterations for s in sols[1:]] == [0] * 6
+
+
 def record_laws(monkeypatch):
     """The exponents of every law ``Network.equations`` is built for, in order."""
     laws = []
     equations = network.Network.equations
 
-    def recording(self, f, u):
+    def recording(self, f):
         laws.append(f.exponents)
-        return equations(self, f, u)
+        return equations(self, f)
 
     monkeypatch.setattr(network.Network, "equations", recording)
     return laws

@@ -11,7 +11,6 @@ import sys
 import threading
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from alphaport import (
@@ -214,18 +213,39 @@ class TestKeptState:
     def test_unit_start_is_read_only(self):
         c = build_canonical("ladder", sections=15)
         before = solve_dc(c, CUBIC, 1.0)
-        start = _nodal_network(c).net.linear_start(1.0)
-        assert start is _nodal_network(c).net.linear_start(1.0)
+        start = _nodal_network(c).net.unit_start
+        assert start is _nodal_network(c).net.unit_start
         with pytest.raises(ValueError, match="read-only"):
             start[0] = 0.5
         assert bits(solve_dc(c, CUBIC, 1.0)) == bits(before)
 
-    def test_other_drives_solve_their_own_linear_start(self):
-        net = _nodal_network(build_canonical("ladder", sections=15)).net
-        x = net.linear_start(0.5)
-        assert x.flags.writeable
-        assert x is not net.linear_start(0.5)
-        np.testing.assert_allclose(x, 0.5 * net.linear_start(1.0), rtol=1e-14)
+    def test_unit_conductance_system_is_solved_once_whatever_the_drives(self, monkeypatch):
+        # every drive is solved at unit drive from the network's one linear start
+        builds, solves = [], []
+        gram = network.Network.gram
+
+        def counting_gram(self, g):
+            J = gram(self, g)
+            if g is self.w:
+                builds.append(self)
+                solve = J.solve
+                J.solve = lambda r: solves.append(self) or solve(r)
+            return J
+
+        monkeypatch.setattr(network.Network, "gram", counting_gram)
+        c = square_grid(12)
+        for v in (0.5, 2.0, 7.0):
+            solve_dc(c, CUBIC, v)
+        net = _nodal_network(c).net
+        assert builds == [net] and solves == [net]
+
+        builds.clear()
+        solves.clear()
+        c = build_canonical("fig_b1")
+        for i in (0.8, 1.3):
+            mesh_solve(c, power_law(2.0), i)
+        # the loop network also builds it once to check the basis
+        assert len(builds) == 2 and builds[0] is builds[1] and solves == builds[:1]
 
     def test_solved_100x100_grid_keeps_under_4_mb(self):
         c = square_grid(100)
