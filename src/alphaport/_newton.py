@@ -34,9 +34,10 @@ system that is still singular gets an escalating multiplicative ridge.
 Sublinear laws add kinks (unbounded slope at zero drop) that quantize the
 line search; a coordinate-descent polish of the remaining unconverged
 equations — exact one-dimensional bisections, immune to the kinks —
-finishes those off.  Exotic laws with exponents near 0.2 on dense
-multigraphs can still defeat the whole cascade on rare adversarial
-topologies and are reported as solver errors.
+finishes those off.  Sublinear laws can still defeat the whole cascade,
+and are then reported as solver errors: on a seeded corpus of 40 sparse
+ring multigraphs (README, Numerical notes) v**0.5 fails on 6 draws and
+v**0.25 on 23, while v**0.3 and every superlinear law tried converge.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import alphaport
-from alphaport import Characteristic, build_canonical, network, report, solve_dc
+from alphaport import Characteristic, build_canonical, cli, network, report, solve_dc
 from alphaport._newton import damped_newton
 from alphaport.cli import main
 
@@ -253,3 +254,140 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert run.returncode == 0, run.stderr
     assert main(argv) == 0
     assert run.stdout == capsys.readouterr().out
+
+
+class TestByteExactFormats:
+    """Whole outputs of the csv and text layouts, on values with closed forms:
+    fig4 at alpha = 2 (phi = 11/9, d_c = 2/3), fig_a1 (phi = 8/5 at alpha = 1,
+    d_x = sqrt(5) - 2 at alpha = 2), fig_b1 under the linear law (phi = 5/8,
+    m1 = 3/8) and the ladder at alpha = 1 (lambda = 2 + sqrt(3))."""
+
+    FIG4_ALPHA2 = "2,1.22222222,1,0,0.666666667,0.333333333,0.666666667,0.333333333"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("alpha-test", "--canonical", "fig4", "--alpha", "2", "--format", "csv"),
+         "# alpha,phi,d_a,d_b,d_c,d_d,d_e,d_f\n" + FIG4_ALPHA2 + "\n"),
+        (("alpha-test", "--canonical", "fig4", "--alpha", "2", "--format", "text"),
+         "alpha  2\nphi    1.22222222\nd:\n  a        1\n  b        0\n"
+         "  c        0.666666667\n  d        0.333333333\n  e        0.666666667\n"
+         "  f        0.333333333\n"),
+        (("alpha-test", "--canonical", "fig_a1", "--alphas", "1,2", "--format", "csv"),
+         "# alpha,phi,d_a,d_b,d_o,d_x\n1,1.6,1,0,0.4,0.2\n"
+         "2,1.27864045,1,0,0.472135955,0.236067977\n"
+         "# monotonicity a=nondecreasing\n# monotonicity b=nondecreasing\n"
+         "# monotonicity o=nondecreasing\n# monotonicity x=nondecreasing\n"),
+        (("alpha-test", "--canonical", "fig4", "--alphas", "1,2", "--format", "text"),
+         "# alpha\tphi\td_a\td_b\td_c\td_d\td_e\td_f\n"
+         "1\t1.66666667\t1\t0\t0.666666667\t0.333333333\t0.666666667\t0.333333333\n"
+         + FIG4_ALPHA2.replace(",", "\t") + "\n"
+         + "".join(f"# monotonicity {n}=nondecreasing\n" for n in "abcdef")),
+        (("analyze", "--canonical", "fig4", "--f", "1:1", "--vin", "2", "--format", "csv"),
+         "# v_in,input_current,v_a,v_b,v_c,v_d,v_e,v_f\n"
+         "2,3.33333333,2,0,1.33333333,0.666666667,1.33333333,0.666666667\n"),
+        (("mesh", "--canonical", "fig_b1", "--f", "1:1", "--iin", "1", "--format", "csv"),
+         "# i_in,input_voltage,phi_meshes,i_m1,i_m2\n1,0.625,0.625,0.375,0.125\n"),
+        (("mesh", "--canonical", "fig_b1", "--f", "1:1", "--iin", "1", "--format", "text"),
+         "i_in           1\ninput_voltage  0.625\nphi_meshes     0.625\nmesh currents:\n"
+         "  m1       0.375\n  m2       0.125\n"),
+        (("mesh", "--canonical", "fig_b1", "--f", "1:1,1:3", "--iin", "1", "--format", "csv"),
+         "# i_in,input_voltage,phi_meshes,i_m1,i_m2\n1,0.782059072,,0.416552681,0.143649647\n"),
+        (("mesh", "--canonical", "fig_b1", "--f", "1:1,1:3", "--iin", "1", "--format", "text"),
+         "i_in           1\ninput_voltage  0.782059072\nphi_meshes     \nmesh currents:\n"
+         "  m1       0.416552681\n  m2       0.143649647\n"),
+        (("ladder", "--alphas", "1,2", "--format", "text"),
+         "# alpha\tlambda\tphi\n1\t3.73205081\t0.366025404\n2\t3.11200974\t0.115146289\n"),
+    ], ids=["alpha-csv", "alpha-text", "alphas-csv", "alphas-text", "analyze-csv",
+            "mesh-csv", "mesh-text", "mesh-two-term-csv", "mesh-two-term-text", "ladder-text"])
+    def test_whole_output(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    def test_drive_sweep_json_records(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--canonical", "fig4", "--f", "1:1",
+                               "--vgrid", "1,2", "--format", "json")
+        assert code == 0
+        thirds = {"d_c": 0.666666667, "d_d": 0.333333333, "d_e": 0.666666667,
+                  "d_f": 0.333333333}
+        rows = [{"v_in": v, "F": F, "G": F, "eta": 0.0, "eta_nonlinear": 0.0,
+                 "nonlinearity_degree": 0.0, "bound": None, **thirds}
+                for v, F in ((1.0, 1.66666667), (2.0, 3.33333333))]
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    def test_exponent_sweep_json_records(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--canonical", "fig4", "--alphas", "1,2",
+                               "--format", "json")
+        assert code == 0
+        d = {"d_a": 1.0, "d_b": 0.0, "d_c": 0.666666667, "d_d": 0.333333333,
+             "d_e": 0.666666667, "d_f": 0.333333333}
+        rows = [{"alpha": 1.0, "phi": 1.66666667, **d}, {"alpha": 2.0, "phi": 1.22222222, **d}]
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    def test_csv_meta_is_one_first_line(self, capsys):
+        argv = ("alpha-test", "--canonical", "fig4", "--alpha", "2", "--format", "csv")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, stamped, _ = run_cli(capsys, *argv, "--meta")
+        assert code == 0
+        first, rest = stamped.split("\n", 1)
+        stamp = first.removeprefix("# generated_at ")
+        assert first != stamp and datetime.fromisoformat(stamp).tzinfo is not None
+        assert rest == plain
+
+
+def run_fresh(*argv):
+    """``python -m alphaport`` in a new process: (exit code, stdout, stderr)."""
+    src = Path(alphaport.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "alphaport", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    return run.returncode, run.stdout, run.stderr
+
+
+class TestSharedParser:
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, out, _ = run_cli(capsys, "ladder", "--alpha", "1", "--format", "csv")
+        assert code == 0 and out.endswith("1,3.73205081,0.366025404\n")
+
+    def test_consecutive_calls_equal_fresh_processes(self, capsys, tmp_path):
+        netlist = tmp_path / "bridge.net"
+        netlist.write_text(".input a b\n.f 1:1,1:3\n.branch a b\n.branch a o\n"
+                           ".branch o b\n.branch o x\n.branch x b\n")
+        calls = [
+            ("sweep", "--canonical", "fig_a1", "--f", "1:1,1:3", "--vgrid", "0.5,2"),
+            ("analyze", "--canonical", "fig_a1", "--f", "1:1,1:3", "--vin", "0.5"),
+            ("alpha-test", "--canonical", "ladder", "--sections", "2", "--central",
+             "--alpha", "2"),
+            ("alpha-test", "--canonical", "ladder", "--sections", "2", "--alpha", "2"),
+            ("superpose", "--netlist", str(netlist), "--f", "1:2", "--vin", "1"),
+            ("superpose", "--netlist", str(netlist), "--vin", "1"),
+            ("ladder", "--alpha", "1", "--alphas", "1,2"),
+            ("superpose", "--netlist", str(netlist), "--vin", "1", "--format", "csv"),
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [0] * 6 + [1, 0]
+        assert in_process == [run_fresh(*argv) for argv in calls]
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["ladder", "--alpha", "1"], None, 0),
+    (["ladder", "--format", "csv"], None, 1),
+    (["superpose", "--canonical", "fig_a1", "--f", "1:1,1:3", "--vin", "1"], "1", 2),
+], ids=["ok", "usage", "solver"])
+def test_console_entry_exits_with_main_code(capsys, monkeypatch, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("ALPHAPORT_MAX_ITERS", env)
+    monkeypatch.setattr(sys, "argv", ["alphaport", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == code
+
+
+def test_mesh_solver_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "1")
+    code, out, err = run_cli(capsys, "mesh", "--canonical", "fig_b1", "--f", "1:3",
+                             "--iin", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("solver failure: ")

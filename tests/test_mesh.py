@@ -7,6 +7,7 @@ from alphaport import (
     Characteristic,
     Circuit,
     Mesh,
+    SolverError,
     build_canonical,
     mesh_solve,
     network,
@@ -118,6 +119,11 @@ class TestBasisHandling:
         sol = mesh_solve(FIG_B1, Characteristic(((1.0, 1.0), (1.0, 2.0))), 1.0)
         assert sol.phi_meshes is None
         assert sol.input_voltage > 0.0
+
+    def test_exhausted_iteration_budget_is_reported(self, monkeypatch):
+        monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "1")
+        with pytest.raises(SolverError, match="KVL iteration did not converge"):
+            mesh_solve(FIG_B1, power_law(3.0), 1.0)
 
     def test_missing_basis_rejected(self):
         with pytest.raises(ValueError, match="no mesh basis"):

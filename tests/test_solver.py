@@ -318,6 +318,26 @@ class TestUnitDrive:
         assert [s.iterations for s in sols[1:]] == [0] * 6
 
 
+def test_equal_potential_snap_rescues_a_stalled_sublinear_solve(monkeypatch):
+    # v**0.25 on this draw stalls a few ulps from a pair of equal
+    # potentials; snapping them to equality and re-solving converges
+    import alphaport.solver as solver_module
+    snaps = []
+    snap = solver_module._snap_equal_potentials
+
+    def recording(*args):
+        snapped = snap(*args)
+        snaps.append(snapped is not None)
+        return snapped
+
+    monkeypatch.setattr(solver_module, "_snap_equal_potentials", recording)
+    c = SMALL_MULTIGRAPHS[157]
+    sol = solve_dc(c, power_law(0.25), 1.0)
+    assert snaps == [True]
+    monkeypatch.setattr(solver_module, "_snap_equal_potentials", snap)
+    assert max_gap(c, sol.d, alpha_solve(c, 0.25).d) <= 1e-15
+
+
 def record_laws(monkeypatch):
     """The exponents of every law ``Network.equations`` is built for, in order."""
     laws = []
