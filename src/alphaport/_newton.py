@@ -28,8 +28,11 @@ the best iterate seen.
 Each step solves with the Jacobian object of network.py, a symmetric
 block-tridiagonal matrix over breadth-first level blocks of the unknowns,
 by block elimination; a network small enough to be one block is one dense
-solve.  Equations with a zero diagonal are pinned to a zero step, and a
-system that is still singular gets an escalating multiplicative ridge.
+solve.  Neighbouring blocks couple only through their boundary levels, so
+eliminating a block of m unknowns whose successor starts with a level of
+f costs a dense solve with f + 1 right-hand sides, about m^3 + m^2 f.
+Equations with a zero diagonal are pinned to a zero step, and a system
+that is still singular gets an escalating multiplicative ridge.
 
 Sublinear laws add kinks (unbounded slope at zero drop) that quantize the
 line search; a coordinate-descent polish of the remaining unconverged

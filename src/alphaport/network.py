@@ -23,14 +23,21 @@ into blocks of consecutive breadth-first levels of that sharing graph
 (each component walked from a pseudo-peripheral start).  A level touches
 only its neighbouring levels, so the Jacobian is symmetric
 block-tridiagonal over the blocks and is solved by block elimination,
-numpy only.  A network with fewer than 2 * MIN_BLOCK unknowns is one
+numpy only.  Each block lists its unknowns level by level, and block k
+meets block k+1 only between its last level and the first level of block
+k+1: only that coupling is stored, and an elimination step solves block
+k's Schur complement against one column per unknown of that first level
+plus the right-hand side, about m^3 + m^2 f for m unknowns and a first
+level of f.  A network with fewer than 2 * MIN_BLOCK unknowns is one
 dense block.  Several blocks are assembled already equilibrated: the
 diagonal comes first, from one bincount of g A^2, and its power-of-two
 scaling is folded into the weights of the cell bincount, so the
-elimination itself never rescales.
+elimination itself never rescales.  A y_k within NOISE_MULT granules of
+the roundoff of its terms has no resolved slope; the Jacobian takes it at
+the edge of that band.
 
-The residual, objective and tolerances at one iterate share one evaluation
-of the terms of A x, of y and of the flows.  ``Network.solve`` is the one
+The residual, Jacobian, objective and tolerances at one iterate share one
+evaluation of y, of the flows and of the scale of the terms of each y_k.  ``Network.solve`` is the one
 solve step of both descriptions, continuation in the exponent included.
 """
 
@@ -129,63 +136,82 @@ def _integral(f: Characteristic, y: np.ndarray) -> np.ndarray:
             * ay[:, None] ** (expo[None, :] + 1.0)).sum(axis=1)
 
 
-def _bfs_levels(neighbours: list[list[int]], root: int, mark: list[int],
-                stamp: int) -> list[list[int]]:
-    """Breadth-first levels from ``root``, marking each reached node with ``stamp``."""
-    mark[root] = stamp
-    level, levels = [root], []
-    while level:
+def _neighbours(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sharing graph of the unknowns in CSR form: unknown p's neighbours
+    are ``adjacent[start[p]:start[p + 1]]``, a neighbour repeated once per
+    row the two share."""
+    width = index.shape[1]
+    p = np.repeat(index, width, axis=1).ravel()
+    q = np.tile(index, width).ravel()
+    shared = (p < n) & (q < n) & (p != q)
+    p, q = p[shared], q[shared]
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(p, minlength=n), out=start[1:])
+    return start, q[np.argsort(p)]
+
+
+def _bfs_levels(start: np.ndarray, adjacent: np.ndarray, root: int,
+                unseen: np.ndarray) -> list[np.ndarray]:
+    """Breadth-first levels from ``root`` over the CSR arrays of
+    ``_neighbours``, each sorted; clears ``unseen`` at every unknown reached.
+
+    A level's neighbours are one gather, and the next level is what of them
+    is still unseen, read off a mask.
+    """
+    degree, stop = np.diff(start), start[1:]
+    reached = np.zeros(unseen.size, dtype=bool)
+    unseen[root] = False
+    level, levels = np.array([root]), []
+    while level.size:
         levels.append(level)
-        following = []
-        for p in level:
-            for q in neighbours[p]:
-                if mark[q] != stamp:
-                    mark[q] = stamp
-                    following.append(q)
-        level = following
+        count = degree[level]
+        ends = np.cumsum(count)
+        reached[adjacent[np.repeat(stop[level] - ends, count) + np.arange(ends[-1])]] = True
+        reached &= unseen
+        level = np.flatnonzero(reached)
+        unseen[level] = False
+        reached[level] = False
     return levels
 
 
-def _level_blocks(n: int, index: np.ndarray) -> list[np.ndarray]:
-    """Unknowns in blocks of consecutive breadth-first levels, each sorted.
+def _level_blocks(n: int, index: np.ndarray) -> tuple[list[np.ndarray], list[int], list[int]]:
+    """Unknowns in blocks of consecutive breadth-first levels, in level order,
+    and the sizes of each block's first and last level.
 
     Two unknowns are neighbours when they share a row of ``index``.  Each
     component, taken by smallest unknown, is walked from a pseudo-peripheral
     start (George-Liu: the smallest unknown in the last level of a first
     walk), which keeps the levels narrow; levels are then merged in order
     until a block holds MIN_BLOCK unknowns, and a short remainder joins the
-    last block.
+    last block.  A level touches only the levels next to it, so block k
+    meets block k+1 only between its last level, its trailing slice, and
+    the first level of block k+1, its leading slice.  A lone block is kept
+    in unknown order.
     """
-    if n < 2 * MIN_BLOCK:
-        return [np.arange(n)]
-    width = index.shape[1]
-    p = np.repeat(index, width, axis=1).ravel()
-    q = np.tile(index, width).ravel()
-    shared = (p < n) & (q < n) & (p != q)
-    p, q = np.divmod(np.unique(p[shared] * n + q[shared]), n)
-    start = np.searchsorted(p, np.arange(n + 1)).tolist()
-    q = q.tolist()
-    neighbours = [q[start[i]:start[i + 1]] for i in range(n)]
+    if n >= 2 * MIN_BLOCK:
+        start, adjacent = _neighbours(n, index)
+        unseen = np.ones(n, dtype=bool)
+        levels: list[np.ndarray] = []
+        root = 0
+        while unseen[root]:
+            far = int(_bfs_levels(start, adjacent, root, unseen.copy())[-1][0])
+            levels += _bfs_levels(start, adjacent, far, unseen)
+            root = int(np.argmax(unseen))
 
-    mark = [0] * n
-    levels: list[list[int]] = []
-    for root in range(n):
-        if mark[root]:
-            continue
-        stamp = 2 * root + 1
-        far = min(_bfs_levels(neighbours, root, mark, stamp)[-1])
-        levels += _bfs_levels(neighbours, far, mark, stamp + 1)
-
-    blocks: list[list[int]] = []
-    current: list[int] = []
-    for level in levels:
-        current += level
-        if len(current) >= MIN_BLOCK:
-            blocks.append(current)
-            current = []
-    if current:
+        blocks: list[list[np.ndarray]] = []
+        current: list[np.ndarray] = []
+        size = 0
+        for level in levels:
+            current.append(level)
+            size += level.size
+            if size >= MIN_BLOCK:
+                blocks.append(current)
+                current, size = [], 0
         blocks[-1] += current
-    return [np.array(sorted(b), dtype=np.intp) for b in blocks]
+        if len(blocks) > 1:
+            return ([np.concatenate(b) for b in blocks], [b[0].size for b in blocks],
+                    [b[-1].size for b in blocks])
+    return [np.arange(n)], [n], [n]
 
 
 class _BlockLayout:
@@ -193,45 +219,53 @@ class _BlockLayout:
     flat cells of a ``BlockTridiagonal``.
 
     ``offsets`` are the first cells of D_0.. and then L_0.., the last one
-    being the total; ``pair_cell`` is the cell of each ordered pair of
-    entries in a row of A's padded form.  Holds no reference to the
-    network, so a network's cached matrices do not form a cycle with it.
+    being the total; D_k is m_k x m_k and L_k only (first level of block
+    k+1) x (last level of block k), ``couplings`` giving that shape.
+    ``pair_cell`` is the cell of each ordered pair of entries in a row of
+    A's padded form.  Holds no reference to the network, so a network's
+    cached matrices do not form a cycle with it.
     """
 
     def __init__(self, n: int, index: np.ndarray):
         self.n = n
-        self.blocks = _level_blocks(n, index)
+        self.blocks, leading, trailing = _level_blocks(n, index)
         sizes = [b.size for b in self.blocks]
         self.sizes = sizes
+        self.couplings = list(zip(leading[1:], trailing))
         self.order = np.concatenate(self.blocks)
         self.slices = [slice(a - m, a) for a, m in zip(accumulate(sizes), sizes)]
         self.offsets = list(accumulate(
-            [0] + [m * m for m in sizes] + [m1 * m0 for m0, m1 in zip(sizes, sizes[1:])]))
-        # per unknown: its block, its place there and the first cells of its
-        # rows in D_k and (from block 1 on) in L_{k-1}; the sentinel column
-        # n sits two blocks away from all of them, and its own pairs land
-        # in a cell past the end, which is cut off
+            [0] + [m * m for m in sizes] + [f * l for f, l in self.couplings]))
+        # per unknown: its block, its place there, its place in the block's
+        # trailing slice and the first cells of its rows in D_k and (in the
+        # leading slice of block 1 on) in L_{k-1}; the sentinel column n
+        # sits two blocks away from all of them, and its own pairs land in
+        # a cell past the end, which is cut off
         total = self.offsets[-1]
         block = np.full(n + 1, -2, dtype=np.intp)
         pos = np.zeros(n + 1, dtype=np.intp)
+        tail = np.zeros(n + 1, dtype=np.intp)
         d_row = np.full(n + 1, total, dtype=np.intp)
         l_row = np.zeros(n + 1, dtype=np.intp)
-        for k, members in enumerate(self.blocks):
-            place = np.arange(members.size)
+        for k, (members, m) in enumerate(zip(self.blocks, sizes)):
+            place = np.arange(m)
             block[members] = k
             pos[members] = place
-            d_row[members] = self.offsets[k] + place * members.size
+            tail[members] = place - (m - trailing[k])
+            d_row[members] = self.offsets[k] + place * m
             if k:
-                l_row[members] = self.offsets[len(sizes) + k - 1] + place * sizes[k - 1]
+                f = leading[k]
+                l_row[members[:f]] = self.offsets[len(sizes) + k - 1] + place[:f] * trailing[k - 1]
         self.diagonal_cell = (d_row + pos)[:n]
 
         # each ordered pair of entries in a row adds to one cell: a pair in
-        # block k to D_k, a row in block k+1 with a column in block k to
-        # L_k; L_k^T pairs and pairs with the sentinel go past the end
+        # block k to D_k, a row in block k+1 with a column in block k (the
+        # one in its leading, the other in its trailing slice) to L_k;
+        # L_k^T pairs and pairs with the sentinel go past the end
         p, q = index[:, :, None], index[:, None, :]
         gap = block[p] - block[q]
         self.pair_cell = np.where(gap == 0, d_row[p] + pos[q],
-                                  np.where(gap == 1, l_row[p] + pos[q], total)).ravel()
+                                  np.where(gap == 1, l_row[p] + tail[q], total)).ravel()
 
 
 def _equilibration(diag: np.ndarray) -> np.ndarray:
@@ -243,8 +277,11 @@ class BlockTridiagonal:
     """Symmetric block-tridiagonal matrix J over a network's level blocks.
 
     ``cells`` holds the diagonal blocks D_k, row-major, then the
-    sub-diagonal blocks L_k (rows in block k+1, columns in block k); the
-    super-diagonal blocks are L_k^T.  Vectors are indexed by unknown.
+    sub-diagonal blocks L_k, row-major too.  L_k holds only the rows of
+    the first level of block k+1 (its leading slice) and the columns of
+    the last level of block k (its trailing slice): the rest of the
+    coupling between the two blocks is zero.  The super-diagonal blocks
+    are L_k^T.  Vectors are indexed by unknown.
     ``diag`` is J's diagonal.  With several blocks the cells hold S J S,
     for the power-of-two ``scale`` S that brings that diagonal into
     [0.5, 2), which is exact: elimination does not pivot across blocks,
@@ -263,10 +300,10 @@ class BlockTridiagonal:
 
     def _blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Views of the D_k and L_k in ``cells``."""
-        cells, sizes, offsets = self.cells, self.layout.sizes, self.layout.offsets
-        d = [cells[o:o + m * m].reshape(m, m) for o, m in zip(offsets, sizes)]
-        low = [cells[o:o + m1 * m0].reshape(m1, m0)
-               for o, m0, m1 in zip(offsets[len(sizes):], sizes, sizes[1:])]
+        cells, layout = self.cells, self.layout
+        d = [cells[o:o + m * m].reshape(m, m) for o, m in zip(layout.offsets, layout.sizes)]
+        low = [cells[o:o + f * l].reshape(f, l)
+               for o, (f, l) in zip(layout.offsets[len(d):], layout.couplings)]
         return d, low
 
     def diagonal(self) -> np.ndarray:
@@ -290,8 +327,9 @@ class BlockTridiagonal:
             dk *= rk[:, None]
             dk *= rk
         for lk, r0, r1 in zip(low, r, r[1:]):
-            lk *= r1[:, None]
-            lk *= r0
+            f, l = lk.shape
+            lk *= r1[:f, None]
+            lk *= r0[r0.size - l:]
         cells[self.layout.diagonal_cell] = diag * scale * scale
         return out
 
@@ -306,36 +344,58 @@ class BlockTridiagonal:
             d[k][:, idx] = 0.0
             d[k][idx, idx] = 1.0
             if k:
-                low[k - 1][idx, :] = 0.0
+                lead = low[k - 1]
+                lead[idx[idx < lead.shape[0]], :] = 0.0
             if k < len(low):
-                low[k][:, idx] = 0.0
+                trail = low[k]
+                first = members.size - trail.shape[1]
+                trail[:, idx[idx >= first] - first] = 0.0
         return out
+
+    def _eliminate(self, b: np.ndarray, pivots: list | None = None):
+        """Forward block elimination of J x = b, b given in block order.
+
+        Each Schur complement S_k is solved once against [0; L_k^T | y_k],
+        L_k^T filling its trailing rows; the update L_k S_k^{-1} L_k^T is
+        subtracted from the leading corner of D_{k+1} only.  Returns the
+        last Schur complement, its right-hand side and, per step, the
+        solved (coupling, z) pair.  With ``pivots`` a list, the squared
+        Cholesky pivots of each Schur complement but the last are appended
+        to it.  Raises ``np.linalg.LinAlgError`` when one is singular.
+        """
+        d, low = self._blocks()
+        rhs = [b[sl] for sl in self.layout.slices]
+        schur, y = d[0], rhs[0]
+        eliminated = []
+        for lk, dk, rk in zip(low, d[1:], rhs[1:]):
+            if pivots is not None:
+                pivots.append(np.diag(np.linalg.cholesky(schur)) ** 2)
+            (f, l), first = lk.shape, y.size - lk.shape[1]
+            cols = np.zeros((y.size, f + 1))
+            cols[first:, :f] = lk.T
+            cols[:, f] = y
+            sol = np.linalg.solve(schur, cols)
+            coupling, z = sol[:, :f], sol[:, f]
+            eliminated.append((coupling, z))
+            schur, y = dk.copy(), rk.copy()
+            schur[:f, :f] -= lk @ coupling[first:]
+            y[:f] -= lk @ z[first:]
+        return schur, y, eliminated
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """The solution x of J x = r by block elimination (block Thomas).
 
-        Each Schur complement S_k is solved once against [L_k^T | y_k];
-        raises ``np.linalg.LinAlgError`` when one is singular.
+        Raises ``np.linalg.LinAlgError`` when a Schur complement is singular.
         """
         if self.scale is None:
             n = self.layout.n
             return np.linalg.solve(self.cells.reshape(n, n), r)
-        d, low = self._blocks()
-        perm, slices = self.layout.order, self.layout.slices
+        perm = self.layout.order
         scale = self.scale[perm]
-        scaled = r[perm] * scale
-        rhs = [scaled[sl] for sl in slices]
-
-        schur, y = d[0], rhs[0]
-        eliminated = []
-        for lk, dk, rk in zip(low, d[1:], rhs[1:]):
-            sol = np.linalg.solve(schur, np.concatenate((lk.T, y[:, None]), axis=1))
-            coupling, z = sol[:, :-1], sol[:, -1]
-            eliminated.append((coupling, z))
-            schur, y = dk - lk @ coupling, rk - lk @ z
+        schur, y, eliminated = self._eliminate(r[perm] * scale)
         xk = [np.linalg.solve(schur, y)]
         for coupling, z in reversed(eliminated):
-            xk.append(z - coupling @ xk[-1])
+            xk.append(z - coupling @ xk[-1][:coupling.shape[1]])
         x = np.empty_like(r)
         x[perm] = np.concatenate(xk[::-1]) * scale
         return x
@@ -347,12 +407,8 @@ class BlockTridiagonal:
         factorization in that order; raises ``np.linalg.LinAlgError`` when
         a Schur complement is not positive definite.
         """
-        d, low = self._blocks()
-        schur = d[0]
-        pivots = []
-        for lk, dk in zip(low, d[1:]):
-            pivots.append(np.diag(np.linalg.cholesky(schur)) ** 2)
-            schur = dk - lk @ np.linalg.solve(schur, lk.T)
+        pivots: list[np.ndarray] = []
+        schur = self._eliminate(np.zeros(self.layout.n), pivots)[0]
         pivots.append(np.diag(np.linalg.cholesky(schur)) ** 2)
         out = np.empty(self.layout.n)
         out[self.layout.order] = np.concatenate(pivots)
@@ -477,10 +533,12 @@ class Network:
         """residual, jacobian, objective and tolerances of law f at unit drive.
 
         Returned in ``damped_newton``'s positional order.  They share one
-        evaluation of the terms of A x, y and the flows per iterate, keyed
-        on the iterate's value, since a caller may change x in place.
+        evaluation per iterate of y, the flows and each y_k's scale, the
+        largest magnitude it is formed from, keyed on the iterate's value,
+        since a caller may change x in place.
         """
         w, s = self.w, self.s
+        abs_s = np.abs(s)
         abs_tol = REL_TOL * f(1.0)
         sublinear = f.min_exponent < 1.0
         last: list = [None, None]
@@ -489,28 +547,30 @@ class Network:
             if last[0] is None or not np.array_equal(last[0], x):
                 terms = self._terms(x)
                 y = terms.sum(axis=1) + s
-                last[0], last[1] = x.copy(), (terms, y, w * _currents(f, y))
+                scale = np.maximum(np.abs(terms).max(axis=1), abs_s)
+                last[0], last[1] = x.copy(), (y, w * _currents(f, y), scale)
             return last[1]
 
         def residual(x: np.ndarray) -> np.ndarray:
-            return self._transpose(evaluate(x)[2])
+            return self._transpose(evaluate(x)[1])
 
         def jacobian(x: np.ndarray) -> BlockTridiagonal:
-            y = evaluate(x)[1]
-            J = self.gram(w * _slopes(f, y))
+            # a y_k within the noise band of the roundoff of its terms has
+            # no resolved slope; it is taken at the edge of that band
+            y, _, scale = evaluate(x)
+            J = self.gram(w * _slopes(f, np.maximum(np.abs(y), NOISE_MULT * EPS * scale)))
             if sublinear and np.any(np.abs(y) < ZERO_DROP):
                 J = J.ridged(SINGULAR_SLOPE_REG)
             return J
 
         def objective(x: np.ndarray) -> float:
-            return float((w * _integral(f, evaluate(x)[1])).sum())
+            return float((w * _integral(f, evaluate(x)[0])).sum())
 
         def tolerances(x: np.ndarray) -> np.ndarray:
             # relative share of the local flow (capped at the flat
             # drive-scale tolerance), plus the roundoff floor of forming
-            # each y_k from its terms, a granule of EPS * max |term|
-            terms, y, flows = evaluate(x)
-            scale = np.maximum(np.abs(terms).max(axis=1), np.abs(s))
+            # each y_k from its terms, a granule of EPS * scale
+            y, flows, scale = evaluate(x)
             flow = self._transpose(np.abs(flows), self._abs_value)
             slo = w * _floor_slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
             floor = self._transpose(slo * scale, self._abs_value)

@@ -58,12 +58,17 @@ def parallel_grids_nodal():
     return _nodal_network(Circuit(sum((c.branches for c in halves), ()), ("a", "b")))[0]
 
 
+def ladder40_nodal():
+    # 80 unknowns in levels of width 2: each coupling is a whole level
+    return _nodal_network(build_canonical("ladder", sections=40))[0]
+
+
 NETWORKS = pytest.mark.parametrize("build", [fig_a1_nodal, random_nodal, fig_b1_loops,
                                              grid20_nodal],
                                    ids=["fig_a1", "random", "fig_b1", "grid20"])
 MULTI_BLOCK = pytest.mark.parametrize(
-    "build", [grid20_nodal, grid20_loops, ring_nodal, parallel_grids_nodal],
-    ids=["grid20", "grid20_loops", "ring", "parallel_grids"])
+    "build", [grid20_nodal, grid20_loops, ring_nodal, parallel_grids_nodal, ladder40_nodal],
+    ids=["grid20", "grid20_loops", "ring", "parallel_grids", "ladder40"])
 
 
 def probe_point(net):
@@ -155,15 +160,89 @@ def block_of(net):
     return out
 
 
+def rows_across(net):
+    """Rows of A with entries in two level blocks, and the lower block of each."""
+    blocks = block_of(net)[net.index]
+    low = np.where(blocks >= 0, blocks, len(net.blocks)).min(axis=1)
+    across = np.flatnonzero(blocks.max(axis=1) > low)
+    return across, low[across]
+
+
 @MULTI_BLOCK
 def test_level_blocks_partition_unknowns_and_couple_only_neighbours(build):
     net = build()
     assert len(net.blocks) > 1
-    assert all(np.all(np.diff(b) > 0) for b in net.blocks)
     np.testing.assert_array_equal(np.sort(np.concatenate(net.blocks)), np.arange(net.n))
-    blocks = block_of(net)[net.index]
+    owner = block_of(net)
+    blocks = owner[net.index]
     spread = blocks.max(axis=1) - np.where(blocks >= 0, blocks, len(net.blocks)).min(axis=1)
     assert spread.max() <= 1
+    # the unknowns coupling to the next block lie in the trailing slice of
+    # their block, those coupling to the previous one in the leading slice
+    place = np.zeros(net.n + 1, dtype=int)
+    for members in net.blocks:
+        place[members] = np.arange(members.size)
+    across, low = rows_across(net)
+    assert across.size
+    for row, k in zip(across, low):
+        f, l = net.layout.couplings[k]
+        for u in net.index[row][net.index[row] < net.n]:
+            if owner[u] == k:
+                assert place[u] >= net.blocks[k].size - l
+            else:
+                assert place[u] < f
+
+
+def reference_level_blocks(net, min_block=32):
+    """Member sets of the level blocks, walked one unknown at a time: each
+    component from its smallest unknown to the smallest unknown of that
+    walk's last level, and from there again; levels merged in order until a
+    block holds ``min_block``, a short remainder joining the last block."""
+    neighbours = [set() for _ in range(net.n)]
+    for row in net.index:
+        inside = [k for k in row.tolist() if k < net.n]
+        for k in inside:
+            neighbours[k].update(inside)
+    for k, near in enumerate(neighbours):
+        near.discard(k)
+
+    def walk(root):
+        seen, level, levels = {root}, [root], []
+        while level:
+            levels.append(level)
+            level = sorted({q for p in level for q in neighbours[p]} - seen)
+            seen.update(level)
+        return levels
+
+    levels, done = [], set()
+    for root in range(net.n):
+        if root not in done:
+            component = walk(min(walk(root)[-1]))
+            done.update(k for level in component for k in level)
+            levels += component
+    blocks, current = [], []
+    for level in levels:
+        current += level
+        if len(current) >= min_block:
+            blocks.append(current)
+            current = []
+    blocks[-1] += current
+    return [sorted(b) for b in blocks]
+
+
+@MULTI_BLOCK
+def test_level_blocks_hold_the_reference_walk_member_sets(build):
+    net = build()
+    assert [sorted(b.tolist()) for b in net.blocks] == reference_level_blocks(net)
+
+
+def test_compact_couplings_store_boundary_levels_only():
+    layout = _nodal_network(square_grid(30))[0].layout
+    m = layout.sizes
+    assert len(m) > 1
+    diagonal = sum(mk * mk for mk in m)
+    assert layout.offsets[-1] == diagonal + sum(f * l for f, l in layout.couplings)
+    assert layout.offsets[-1] <= 0.65 * (diagonal + sum(a * b for a, b in zip(m, m[1:])))
 
 
 def test_small_network_is_one_block():
@@ -236,6 +315,40 @@ def test_pinned_and_ridged_step_matches_dense_step():
     step, ref = _solve_step(J, r), dense_step(dense_matrix(net, g), r)
     assert np.all(step[pinned] == 0.0)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@MULTI_BLOCK
+def test_step_pinned_at_block_boundaries_matches_dense_step(build):
+    net = build()
+    rng = np.random.default_rng(11)
+    across, _ = rows_across(net)
+    touches = lambda k: np.any(net.index == k, axis=1)  # noqa: E731
+    ends = lambda row: net.index[row][net.index[row] < net.n]  # noqa: E731
+    inf_ends, dead_ends = ends(across[0]), ends(across[-1])
+    assert np.unique(np.concatenate((inf_ends, dead_ends))).size == 4
+    g = net.w * rng.uniform(0.5, 2.0, net.w.size)
+    # an infinite slope across one boundary pins both its ends; zero slopes
+    # on every row of the ends of another leave those without an equation
+    g[np.any([touches(u) for u in dead_ends], axis=0)] = 0.0
+    g[across[0]] = np.inf
+    J = net.gram(g)
+    diag = J.diagonal()
+    pinned = (diag == 0.0) | ~np.isfinite(diag)
+    assert pinned[inf_ends].all() and pinned[dead_ends].all()
+    r = rng.standard_normal(net.n)
+    dense = dense_matrix(net, g)
+    step, ref = _solve_step(J, r), dense_step(dense, r)
+    assert np.all(step[pinned] == 0.0)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+    # a per-unknown ridge moves the equilibration of the compact couplings
+    kept = J.pinned(pinned)
+    ridge = np.abs(kept.diagonal()) * 10.0 ** rng.uniform(-3.0, 1.0, net.n)
+    dense[pinned, :] = 0.0
+    dense[:, pinned] = 0.0
+    dense[pinned, pinned] = 1.0
+    x = kept.ridged(ridge).solve(r)
+    ref = np.linalg.solve(dense + np.diag(ridge), r)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def graded_grid20():

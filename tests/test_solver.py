@@ -441,6 +441,20 @@ class TestExponentContinuation:
         # 39 iterations when each law starts from the previous solution
         assert solve_dc(square_grid(20), power_law(64.0), 1.0).iterations <= 32
 
+    def test_block_elimination_keeps_the_30x30_hardlimiter_newton_path(self):
+        # 35 iterations before couplings were cut to the boundary levels
+        assert solve_dc(square_grid(30), power_law(64.0), 1.0).iterations <= 35
+
+    def test_cold_attenuating_ladder_converges_well_inside_the_cap(self):
+        # the deep sections' drops sit within the roundoff noise of their
+        # potentials; with slopes taken there as computed, the first law
+        # took 172 iterations of the 200 allowed, or failed, depending on
+        # the last bits of the linear start
+        net = _nodal_network(build_canonical("ladder", sections=40))[0]
+        outcome = net.solve(power_law(8.0))
+        assert outcome.converged
+        assert outcome.iterations <= 160
+
     def test_multi_term_law_scales_by_its_smallest_exponent(self, monkeypatch):
         laws = record_laws(monkeypatch)
         solve_dc(FIG_A1, Characteristic(((1.0, 10.0), (2.0, 30.0))), 1.0)
