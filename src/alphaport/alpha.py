@@ -4,8 +4,11 @@ For a single-term law f(v) = D * v**alpha the input characteristic is
 F(v_in) = D * phi(alpha) * v_in**alpha and every node sits at a fixed
 fraction d_k(alpha) of the drive, independent of both v_in and D.  These
 profiles are the raw material of the structural superposition and of the
-large-exponent (hardlimiter) asymptotics.  A cold profile above exponent 8
-is continued in the exponent by ``Network.solve``, as every solve is.
+large-exponent (hardlimiter) asymptotics.  As alpha grows the ratios
+converge to an exact limit that depends on the topology only
+(``hardlimiter_limit``); a cold profile above exponent 1 is continued in
+the exponent from that limit and the linear start by ``Network.solve``,
+as every cold nodal solve above exponent 1 is.
 
 Two routes compute a profile.  Exponents below 1 on a circuit that
 declares a loop basis (``Circuit.meshes``: netlist ``.mesh`` sections,
@@ -35,7 +38,7 @@ from .characteristic import Characteristic
 from .circuit import Circuit, _kept, _neighbours
 from .mesh import _kvl_solve, _loop_network
 from .network import _currents
-from .solver import _chain, _nodal_network
+from .solver import _chain, _lex_limit, _nodal_network
 
 __all__ = [
     "AlphaProfile",
@@ -189,22 +192,17 @@ def d_sweep(c: Circuit, alphas) -> DSweep:
 
 
 def hardlimiter_limit(c: Circuit) -> dict[str, float]:
-    """Extrapolated large-exponent limit of the ratios d_k.
+    """The ratios d_k in the limit alpha -> inf, exactly.
 
-    Conductors clamp their drops as the exponent grows, so d_k converges
-    quickly; profiles at 16, 32 and 64 are combined by Aitken
-    extrapolation, with the 64 run as the fallback where the increments
-    have already vanished.
+    Conductors clamp their drops as the exponent grows, and the ratios
+    converge to the lex-minimal Lipschitz extension of d(a) = 1, d(b) = 0
+    over the live graph (``solver._lex_limit``), which depends on the
+    topology only.  Dead nodes take their anchor's value, as in a profile.
     """
-    p16, p32, p64 = (p.d for p in _exponent_chain(c, (16.0, 32.0, 64.0)))
-
-    limit: dict[str, float] = {}
-    for n in c.nodes:
-        x0, x1, x2 = p16[n], p32[n], p64[n]
-        denom = (x2 - x1) - (x1 - x0)
-        if abs(denom) > 1e-12:
-            val = x2 - (x2 - x1) ** 2 / denom
-        else:
-            val = x2
-        limit[n] = min(max(val, 0.0), 1.0)
-    return limit
+    nodal = _nodal_network(c)
+    idx = c._index
+    p = np.empty(len(idx.names))
+    p[idx.a], p[idx.b] = 1.0, 0.0
+    p[nodal.unknown] = _lex_limit(c)
+    p[nodal.dead] = p[nodal.anchor]
+    return dict(zip(idx.names, p.tolist()))

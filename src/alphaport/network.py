@@ -37,8 +37,11 @@ the roundoff of its terms has no resolved slope; the Jacobian takes it at
 the edge of that band.
 
 The residual, Jacobian, objective and tolerances at one iterate share one
-evaluation of y, of the flows and of the scale of the terms of each y_k.  ``Network.solve`` is the one
-solve step of both descriptions, continuation in the exponent included.
+evaluation of y, of the flows and of the scale of the terms of each y_k.
+``Network.solve`` is the one solve step of both descriptions, continuation
+in the exponent included: a predictor-corrector path in t = 1 / (smallest
+exponent) from the linear start at t = 1, anchored for nodal solves at
+t = 0 by the exponent -> infinity limit that the caller passes in.
 """
 
 from __future__ import annotations
@@ -55,9 +58,8 @@ from .characteristic import Characteristic
 __all__ = ["BlockTridiagonal", "Network"]
 
 # Smallest exponent above which a cold solve is continued (Network.solve),
-# and the exponent of its first law, the one started linear.  Up to twice
-# this there are two laws with plain starts; from the third law on, each
-# starts from the secant of the two before it.
+# and the exponent of its first law: that law sits at t = 1 / 8 or later,
+# so its start is never the limit at t = 0 itself.
 CONTINUATION_START = 8.0
 # Diagonal bump applied when a sublinear exponent meets a (numerically)
 # zero branch value, where the true slope diverges.  Needed for v**0.2 on
@@ -494,28 +496,35 @@ class Network:
         x.flags.writeable = False
         return x
 
-    def solve(self, f: Characteristic, x0: np.ndarray | None = None) -> NewtonOutcome:
+    def solve(self, f: Characteristic, x0: np.ndarray | None = None,
+              limit: np.ndarray | None = None) -> NewtonOutcome:
         """Damped Newton on law f at unit drive from ``x0``, or cold when it is None.
 
-        A cold solve starts from ``unit_start``; when f's smallest exponent
-        m is above CONTINUATION_START it first solves f with its exponents
-        scaled by s / m for s = 8, 16, ... below m.  The first two laws
-        start from the linear start and from the first law's solution;
-        each later law starts from the secant through the two laws solved
-        before it, in t = 1 / (smallest exponent), a predictor-corrector
-        step.  Only the last law's outcome is judged; its iterations are
-        summed.
+        A cold solve follows the path in t = 1 / (smallest exponent) from
+        ``unit_start``, its point at t = 1: when f's smallest exponent m is
+        above CONTINUATION_START it first solves f with its exponents scaled
+        by s / m for s = 8, 16, ... below m.  Each law starts from a secant,
+        a predictor-corrector step.  Given ``limit``, the point at t = 0
+        (``solver._lex_limit``), the secant runs through it and the last
+        point solved, the first law's through ``unit_start``; so no law
+        starts at the limit itself.  Without it the first two laws start
+        from ``unit_start`` and from the first law's solution, and each
+        later law from the secant through the two laws solved before it.
+        Only the last law's outcome is judged; its iterations are summed.
         """
         laws = [f]
+        solved: list[tuple[float, np.ndarray]] = []
         if x0 is None:
             x0 = self.unit_start
+            if limit is not None:
+                solved = [(0.0, limit), (1.0, x0)]
             m = f.min_exponent
             s = CONTINUATION_START
             while s < m:
                 laws.insert(-1, Characteristic(tuple((d, s * (a / m)) for d, a in f.terms)))
                 s *= 2.0
+        anchor = solved[:1]
         iterations = 0
-        solved: list[tuple[float, np.ndarray]] = []
         for law in laws:
             t = 1.0 / law.min_exponent
             if len(solved) == 2:
@@ -525,7 +534,7 @@ class Network:
                                     max_iters=max_iterations())
             iterations += outcome.iterations
             x0 = outcome.x
-            solved = solved[-1:] + [(t, x0)]
+            solved = (anchor or solved[-1:]) + [(t, x0)]
         outcome.iterations = iterations
         return outcome
 

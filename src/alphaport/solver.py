@@ -25,8 +25,11 @@ the law is never called per branch.
 None of that topology work depends on the drive or the law, so it is done
 once per circuit too: the validation report, the live split and the
 network (``_nodal_network``) are kept on the circuit, and the network
-keeps its linear start, read-only, which every drive shares.  Every call
-on the same circuit shares them; solutions are never kept.
+keeps its linear start, read-only, which every drive shares.  So is the
+limit of the unknowns as the exponent grows without bound (``_lex_limit``),
+built on the first cold solve whose smallest exponent is above 1: those
+solves are continued in the exponent from it.  Every call on the same
+circuit shares them; solutions are never kept.
 """
 
 from __future__ import annotations
@@ -262,6 +265,112 @@ def _build_nodal(c: Circuit) -> _Nodal:
     return _Nodal(net, [idx.names[k] for k in unknown.tolist()], unknown, dead, anchor, alive)
 
 
+def _lex_limit(c: Circuit) -> np.ndarray:
+    """The unit-drive unknowns of ``_nodal_network`` in the limit alpha -> inf.
+
+    Under v**alpha the ratios d_k(alpha) converge to the lex-minimal
+    Lipschitz extension of p(a) = 1, p(b) = 0 over the live graph (Kyng,
+    Rao, Sachdeva, Spielman, COLT 2015), in which every branch has unit
+    length: multiplicities drop out, as w**(1/alpha) -> 1.  It depends on
+    the topology only, so it is built once per circuit, kept on it and
+    read-only.  Each component of the free nodes is settled against the
+    fixed nodes bounding it (``_fix_steepest``) until no node is free.
+    """
+    return _kept(c, "_lex", _build_lex_limit)
+
+
+def _build_lex_limit(c: Circuit) -> np.ndarray:
+    nodal = _nodal_network(c)
+    idx = c._index
+    n = nodal.unknown.size
+    # nodes are the unknowns in column order, then a and b (n + 1 is also
+    # where dead nodes land, on no live branch); plain lists, since most
+    # circuits are small and each round walks them in Python
+    place = [n + 1] * len(idx.names)
+    for k, node in enumerate(nodal.unknown.tolist()):
+        place[node] = k
+    place[idx.a] = n
+    adjacent: list[list[int]] = [[] for _ in range(n + 2)]
+    n1, n2 = idx.n1.tolist(), idx.n2.tolist()
+    for branch in nodal.live.tolist():
+        p, q = place[n1[branch]], place[n2[branch]]
+        adjacent[p].append(q)
+        adjacent[q].append(p)
+    value = [0.0] * n + [1.0, 0.0]
+    fixed = [False] * n + [True, True]
+    groups = [range(n)]
+    while groups:
+        seen = set()
+        for root in groups.pop():
+            if fixed[root] or root in seen:
+                continue
+            seen.add(root)
+            component, ends = [root], set()
+            for p in component:
+                for q in adjacent[p]:
+                    if fixed[q]:
+                        ends.add(q)
+                    elif q not in seen:
+                        seen.add(q)
+                        component.append(q)
+            if not _fix_steepest(adjacent, value, fixed, component, list(ends)):
+                groups.append(component)
+    x = np.array(value[:n])
+    x.flags.writeable = False
+    return x
+
+
+def _fix_steepest(adjacent: list, value: list, fixed: list, component: list[int],
+                  ends: list[int]) -> bool:
+    """Fix the nodes of ``component`` that lie on its steepest paths; True
+    when that is all of them.
+
+    ``component`` is a connected set of free nodes and ``ends`` the fixed
+    nodes next to it.  A breadth-first walk from each end through the
+    component gives its distance d_s(v) to every node, and to the other
+    ends.  The steepest gradient g is the largest (x_s - x_t) / d_s(t)
+    over pairs of ends; then x_s - g d_s(v) <= x_t + g d_t(v) for all s, t
+    and v, and v lies on a path of gradient g exactly where the largest
+    left side meets the smallest right side, its value in the limit.  When
+    every end has one value, so has the whole component, and a lone node
+    takes the midrange of its ends.
+    """
+    xs = [value[s] for s in ends]
+    top, bottom = max(xs), min(xs)
+    if top == bottom or len(component) == 1:
+        middle = 0.5 * (top + bottom)
+        for v in component:
+            value[v], fixed[v] = middle, True
+        return True
+    inside = set(component)
+    walks, g = [], 0.0
+    for s, x in zip(ends, xs):
+        d, queue = {s: 0}, [s]
+        for p in queue:
+            dp = d[p] + 1
+            for q in adjacent[p]:
+                if q in inside:
+                    if q not in d:
+                        d[q] = dp
+                        queue.append(q)
+                elif p != s and x - value[q] > g * dp:
+                    g = (x - value[q]) / dp
+        walks.append(d)
+    dists = [[d[v] * g for v in component] for d in walks]
+    his = map(max, *([x - gd for gd in dist] for x, dist in zip(xs, dists)))
+    los = map(min, *([x + gd for gd in dist] for x, dist in zip(xs, dists)))
+    # a path of gradient g meets this test to within the roundoff of
+    # values in [0, 1]; the remaining nodes are settled in a later round
+    tol = 16.0 * EPS
+    settled = True
+    for v, hi, lo in zip(component, his, los):
+        if lo - hi <= tol:
+            value[v], fixed[v] = lo, True
+        else:
+            settled = False
+    return settled
+
+
 def solve_dc(c: Circuit, f: Characteristic, v_in: float) -> DcSolution:
     """Solve KCL at every internal node for the given drive voltage.
 
@@ -304,11 +413,14 @@ def _chain(c: Circuit, nodal: _Nodal, steps) -> list[DcSolution]:
 def _solve(c: Circuit, f: Characteristic, v_in: float, g: Characteristic, k: float,
            nodal: _Nodal, x0: np.ndarray | None) -> tuple[DcSolution, np.ndarray]:
     """Drive v_in of law f, solved as the unit drive of ``(g, k) = _unit_drive(f,
-    v_in, ...)``; ``x0=None`` starts cold.  Returns the solution and its
-    unit-drive unknowns.
+    v_in, ...)``; ``x0=None`` starts cold.  A cold solve whose smallest
+    exponent is above 1 is anchored at ``_lex_limit``; below, a start near
+    the limit slows Newton (at v**0.5 on a 20x20 grid 37 iterations became
+    165).  Returns the solution and its unit-drive unknowns.
     """
     net = nodal.net
-    outcome = net.solve(g, x0)
+    anchored = x0 is None and g.min_exponent > 1.0
+    outcome = net.solve(g, x0, _lex_limit(c) if anchored else None)
     if not outcome.converged:
         snapped = _snap_equal_potentials(c, nodal, outcome.x)
         if snapped is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from alphaport import Branch, Characteristic, Circuit, Mesh
 
@@ -25,6 +26,32 @@ def random_connected_circuit(rng: random.Random, max_internal: int = 6,
         u, v = rng.sample(nodes, 2)
         branches.append(Branch(u, v, rng.choice((1, 1, 2))))
     return Circuit(tuple(branches), ("a", "b"))
+
+
+def kcl_holds(c: Circuit, terms, potentials) -> bool:
+    """Plain-Python KCL of ``potentials`` under the law sum of d * v**a over
+    ``terms`` (d, a).
+
+    Each internal node's imbalance must stay within 1e-9 of its local flow
+    plus 8192 ulps of its roundoff floor: the current change of each branch
+    when its drop moves by one ulp of its end potentials.  A sublinear law
+    makes that floor large where a drop is near zero.
+    """
+    eps = 2.0**-52
+    inflow, flow, floor = defaultdict(float), defaultdict(float), defaultdict(float)
+    for br in c.branches:
+        p1, p2 = potentials[br.n1], potentials[br.n2]
+        drop = abs(p1 - p2)
+        current = br.w * sum(d * drop**a for d, a in terms)
+        inflow[br.n1] -= current if p1 >= p2 else -current
+        inflow[br.n2] += current if p1 >= p2 else -current
+        granule = eps * max(abs(p1), abs(p2))
+        slack = br.w * sum(d * a * max(drop, granule) ** (a - 1.0) * granule
+                           for d, a in terms) if granule else 0.0
+        for n in (br.n1, br.n2):
+            flow[n] += current
+            floor[n] += slack
+    return all(abs(inflow[n]) <= 1e-9 * flow[n] + 8192.0 * floor[n] for n in c.internal_nodes())
 
 
 def random_characteristic(rng: random.Random, max_terms: int = 3) -> Characteristic:

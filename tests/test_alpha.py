@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from alphaport import (
     solve_dc,
 )
 from conftest import (
+    kcl_holds,
     random_connected_circuit,
     random_ring_circuit,
     short_cycle_basis,
@@ -60,32 +60,6 @@ def count_network_builds(monkeypatch, builder: str = "_nodal_network") -> list:
     monkeypatch.setattr(alpha_module, builder,
                         lambda c, *rest: builds.append(c) or build(c, *rest))
     return builds
-
-
-EPS = 2.0**-52
-
-
-def kcl_holds(c, alpha, d) -> bool:
-    """Plain-Python KCL of the unit-drive profile ``d`` under v**alpha.
-
-    Each internal node's imbalance must stay within 1e-9 of its local flow
-    plus 8192 ulps of its roundoff floor: the current change of each branch
-    when its drop moves by one ulp of its end potentials.  A sublinear law
-    makes that floor large where a drop is near zero.
-    """
-    inflow, flow, floor = defaultdict(float), defaultdict(float), defaultdict(float)
-    for br in c.branches:
-        p1, p2 = d[br.n1], d[br.n2]
-        drop = abs(p1 - p2)
-        current = br.w * drop**alpha
-        inflow[br.n1] -= current if p1 >= p2 else -current
-        inflow[br.n2] += current if p1 >= p2 else -current
-        granule = EPS * max(abs(p1), abs(p2))
-        slack = br.w * alpha * max(drop, granule) ** (alpha - 1.0) * granule if granule else 0.0
-        for n in (br.n1, br.n2):
-            flow[n] += current
-            floor[n] += slack
-    return all(abs(inflow[n]) <= 1e-9 * flow[n] + 8192.0 * floor[n] for n in c.internal_nodes())
 
 
 def ground_current(c, alpha, d) -> float:
@@ -227,18 +201,33 @@ class TestDSweep:
 
 
 class TestHardlimiterLimit:
+    """The limit is exact: the closed forms of the steepest paths."""
+
     def test_reference_bridge_divider_approaches_half(self):
-        assert hardlimiter_limit(FIG_A1)["o"] == pytest.approx(0.5, abs=0.01)
+        limit = hardlimiter_limit(FIG_A1)
+        assert limit["o"] == pytest.approx(0.5, abs=1e-12)
+        assert limit["x"] == pytest.approx(0.25, abs=1e-12)
 
     def test_ladder_first_shunt_approaches_thirds(self):
         limit = hardlimiter_limit(build_canonical("ladder", sections=8))
-        assert limit["d1"] == pytest.approx(1.0 / 3.0, abs=0.01)
-        assert limit["c1"] == pytest.approx(2.0 / 3.0, abs=0.01)
+        assert limit["d1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert limit["c1"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_symmetric_bridge_unchanged(self):
         limit = hardlimiter_limit(FIG4)
-        assert limit["c"] == pytest.approx(2.0 / 3.0, abs=1e-6)
-        assert limit["d"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert limit["c"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert limit["d"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_ports_and_dead_nodes(self):
+        # a pendant limb o-p-q and a dead loop on x carry no current
+        c = parse_netlist(".input a b\n.branch a o\n.branch o b\n.branch o p\n"
+                          ".branch p q\n.branch a x\n.branch x b\n.branch x y\n"
+                          ".branch y z\n.branch z x\n")
+        limit = hardlimiter_limit(c)
+        assert sorted(limit) == sorted(c.nodes)
+        assert limit["a"] == 1.0 and limit["b"] == 0.0
+        assert limit["o"] == limit["x"] == 0.5
+        assert limit["p"] == limit["q"] == limit["y"] == limit["z"] == 0.5
 
     def test_builds_the_network_once(self, monkeypatch):
         builds = count_network_builds(monkeypatch)
@@ -275,7 +264,7 @@ class TestDualRoute:
         c = DUAL_CIRCUITS[name]
         prof = alpha_solve(c, alpha)
         assert prof.d[c.a] == 1.0 and prof.d[c.b] == 0.0
-        assert kcl_holds(c, alpha, prof.d)
+        assert kcl_holds(c, ((1.0, alpha),), prof.d)
         assert prof.phi == pytest.approx(ground_current(c, alpha, prof.d), rel=1e-12)
 
     def test_fig_b1_matches_closed_form(self):

@@ -434,7 +434,10 @@ def test_import_loads_no_scipy():
     src = str(Path(alphaport.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # nor does the limit at alpha -> inf, or a cold solve anchored at it
     probe = ("import sys, alphaport; "
+             "c = alphaport.build_canonical('ladder', sections=15); "
+             "alphaport.hardlimiter_limit(c); alphaport.alpha_solve(c, 64.0); "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)

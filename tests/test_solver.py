@@ -13,13 +13,17 @@ from alphaport import (
     alpha_solve,
     build_canonical,
     co_content,
+    hardlimiter_limit,
+    mesh_solve,
     network,
     port_current_sum,
     solve_dc,
     solve_grid,
 )
-from alphaport.solver import _live_split, _nodal_network, _solve
+from alphaport.mesh import _loop_network
+from alphaport.solver import _lex_limit, _live_split, _nodal_network, _solve
 from conftest import (
+    kcl_holds,
     random_characteristic,
     random_connected_circuit,
     random_ring_circuit,
@@ -351,6 +355,22 @@ def record_laws(monkeypatch):
     return laws
 
 
+def record_starts(monkeypatch):
+    """The start and the solution of every ``damped_newton`` call of
+    ``Network.solve``, in order."""
+    starts, ends = [], []
+    newton = network.damped_newton
+
+    def recording_newton(x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        outcome = newton(x0, *args, **kwargs)
+        ends.append(outcome.x.copy())
+        return outcome
+
+    monkeypatch.setattr(network, "damped_newton", recording_newton)
+    return starts, ends
+
+
 def ring_corpus(draws):
     rng = random.Random(11)
     return [random_ring_circuit(rng, rng.randint(64, 160), rng.randint(10, 60))
@@ -359,7 +379,9 @@ def ring_corpus(draws):
 
 class TestExponentContinuation:
     """A cold solve reaches a smallest exponent above 8 through 8, 16, ...
-    (``Network.solve``), for drives and profiles alike; each law from the
+    (``Network.solve``), for drives and profiles alike.  A nodal law with
+    smallest exponent above 1 starts from the secant through the limit at
+    t = 0 and the last point solved; on loop networks each law from the
     third on starts from the secant of the two solved before it."""
 
     def test_ring_corpus_solves_superlinear_exponents(self):
@@ -415,21 +437,13 @@ class TestExponentContinuation:
 
     @pytest.mark.parametrize("alpha", [9.0, 16.0, 64.0])
     def test_later_laws_start_from_the_secant_of_the_two_before(self, monkeypatch, alpha):
-        starts, ends = [], []
-        newton = network.damped_newton
-
-        def recording_newton(x0, *args, **kwargs):
-            starts.append(np.array(x0))
-            outcome = newton(x0, *args, **kwargs)
-            ends.append(outcome.x.copy())
-            return outcome
-
-        monkeypatch.setattr(network, "damped_newton", recording_newton)
-        ladder = build_canonical("ladder", sections=15)
-        solve_dc(ladder, power_law(alpha), 1.0)
+        # loop networks have no limit at t = 0, so their laws keep this rule
+        starts, ends = record_starts(monkeypatch)
+        grid = square_grid(6)
+        mesh_solve(grid, power_law(alpha), 1.0)
         steps = [8.0, 16.0, 32.0, 64.0] if alpha == 64.0 else [8.0, alpha]
         assert len(starts) == len(steps)
-        assert np.array_equal(starts[0], _nodal_network(ladder)[0].unit_start)
+        assert np.array_equal(starts[0], _loop_network(grid)[0].unit_start)
         assert np.array_equal(starts[1], ends[0])
         for k in range(2, len(steps)):
             t_a, t_b, t = (1.0 / s for s in steps[k - 2:k + 1])
@@ -437,13 +451,50 @@ class TestExponentContinuation:
             np.testing.assert_allclose(starts[k], secant, rtol=1e-14, atol=0.0)
             assert not np.array_equal(starts[k], ends[k - 1])
 
+    @pytest.mark.parametrize("alpha", [3.0, 9.0, 64.0])
+    def test_nodal_laws_start_on_the_secant_from_the_limit(self, monkeypatch, alpha):
+        # the first law starts on the line from the limit (t = 0) to the
+        # linear start (t = 1), each later one on the line from the limit
+        # through the last law solved; none starts at the limit itself
+        starts, ends = record_starts(monkeypatch)
+        ladder = build_canonical("ladder", sections=15)
+        solve_dc(ladder, power_law(alpha), 1.0)
+        steps = {3.0: [3.0], 9.0: [8.0, 9.0], 64.0: [8.0, 16.0, 32.0, 64.0]}[alpha]
+        assert len(starts) == len(steps)
+        lex = _lex_limit(ladder)
+        points = [(1.0, _nodal_network(ladder).net.unit_start)]
+        points += [(1.0 / s, x) for s, x in zip(steps, ends)]
+        for (t_b, x_b), s, start in zip(points, steps, starts):
+            np.testing.assert_allclose(start, lex + (x_b - lex) * (1.0 / s / t_b),
+                                       rtol=0.0, atol=1e-15)
+        assert np.abs(starts[0] - lex).max() > 1e-3
+
     def test_predictor_shortens_the_hardlimiter_grid_solve(self):
-        # 39 iterations when each law starts from the previous solution
-        assert solve_dc(square_grid(20), power_law(64.0), 1.0).iterations <= 32
+        # 31 iterations when the predictor was not anchored at the limit, and
+        # 39 when each law started from the previous solution
+        assert solve_dc(square_grid(20), power_law(64.0), 1.0).iterations <= 18
 
     def test_block_elimination_keeps_the_30x30_hardlimiter_newton_path(self):
-        # 35 iterations before couplings were cut to the boundary levels
-        assert solve_dc(square_grid(30), power_law(64.0), 1.0).iterations <= 35
+        # 35 iterations when the predictor was not anchored at the limit
+        assert solve_dc(square_grid(30), power_law(64.0), 1.0).iterations <= 19
+
+    def test_limit_shortens_the_attenuating_ladder_solve(self):
+        # 153 iterations when the predictor was not anchored at the limit
+        ladder = build_canonical("ladder", sections=40)
+        assert solve_dc(ladder, power_law(64.0), 1.0).iterations <= 12
+
+    @pytest.mark.parametrize("name,alpha", [
+        *[(f"ladder-{n}", a) for n in (15, 40) for a in (16.0, 32.0, 64.0)],
+        *[(f"grid-{n}", a) for n in (20, 30) for a in (3.0, 64.0, 128.0)]])
+    def test_the_limit_moves_the_start_not_the_answer(self, name, alpha):
+        # potentials, not zero currents: on ladder-40 at 16 the two answers
+        # agree to 4e-15 while 4 and 2 currents underflow to exactly 0
+        kind, n = name.split("-")
+        c = build_canonical("ladder", sections=int(n)) if kind == "ladder" else square_grid(int(n))
+        net, law = _nodal_network(c).net, power_law(alpha)
+        anchored, plain = net.solve(law, limit=_lex_limit(c)), net.solve(law)
+        assert anchored.converged and plain.converged
+        assert np.abs(anchored.x - plain.x).max() <= 1e-12
 
     def test_cold_attenuating_ladder_converges_well_inside_the_cap(self):
         # the deep sections' drops sit within the roundoff noise of their
@@ -462,6 +513,55 @@ class TestExponentContinuation:
         laws.clear()
         solve_dc(FIG_A1, Characteristic(((1.0, 1.0), (1.0, 20.0))), 1.0)
         assert laws[0] == (1.0, 20.0)
+
+
+@pytest.mark.parametrize("case,v_in", [("ring-26", 1.0), ("ring-9", 1e3), ("ring-11", 1e3),
+                                       ("ring-33", 1e3), ("ladder-40", 1e3)])
+def test_multi_term_law_solves_from_the_limit(case, v_in):
+    # SolverError after 1-11 s each when the first law started from the
+    # linear start; plain-Python KCL re-checks each answer
+    kind, k = case.split("-")
+    c = ring_corpus(int(k) + 1)[int(k)] if kind == "ring" else build_canonical("ladder", sections=40)
+    law = Characteristic(((1.0, 10.0), (0.5, 20.0)))
+    sol = solve_dc(c, law, v_in)
+    assert sol.iterations <= 20
+    assert kcl_holds(c, law.terms, sol.potentials)
+
+
+class TestLexLimit:
+    """``_lex_limit`` is the limit of the profiles: d_k(alpha) approaches it
+    as C / alpha with C at most 0.52 (multigraph draw 165) on the corpora
+    below, and profiles that are already exact at 64 equal it."""
+
+    @pytest.mark.parametrize("corpus", ["grid-20", "rings", "multigraphs", "ladders"])
+    def test_profiles_approach_the_limit(self, corpus):
+        circuits = {"grid-20": lambda: [square_grid(20)], "rings": lambda: ring_corpus(40),
+                    "multigraphs": lambda: SMALL_MULTIGRAPHS,
+                    "ladders": lambda: [build_canonical("ladder", sections=n) for n in (15, 40)],
+                    }[corpus]()
+        for c in circuits:
+            limit = hardlimiter_limit(c)
+            for alpha in (64.0, 256.0):
+                assert alpha * max_gap(c, alpha_solve(c, alpha).d, limit) <= 1.0
+
+    @pytest.mark.parametrize("name,kwargs", [("fig_a1", {}), ("fig3", {}), ("fig4", {}),
+                                             ("ladder", {"sections": 15})])
+    def test_exact_profiles_equal_the_limit(self, name, kwargs):
+        c = build_canonical(name, **kwargs)
+        assert max_gap(c, alpha_solve(c, 64.0).d, hardlimiter_limit(c)) <= 1e-12
+
+    def test_kept_on_the_circuit_and_read_only(self):
+        c = build_canonical("ladder", sections=15)
+        first = _lex_limit(c)
+        assert _lex_limit(c) is first and not first.flags.writeable
+
+    def test_warm_and_linear_solves_do_not_build_it(self):
+        c = build_canonical("ladder", sections=15)
+        solve_grid(c, CUBE_LAW, [0.5, 2.0])
+        solve_dc(c, power_law(0.5), 1.0)
+        assert "_lex" not in c.__dict__
+        solve_dc(c, power_law(3.0), 1.0)
+        assert "_lex" in c.__dict__
 
 
 def test_live_split_matches_networkx_biconnected_components():
