@@ -199,10 +199,5 @@ def hardlimiter_limit(c: Circuit) -> dict[str, float]:
     over the live graph (``solver._lex_limit``), which depends on the
     topology only.  Dead nodes take their anchor's value, as in a profile.
     """
-    nodal = _nodal_network(c)
-    idx = c._index
-    p = np.empty(len(idx.names))
-    p[idx.a], p[idx.b] = 1.0, 0.0
-    p[nodal.unknown] = _lex_limit(c)
-    p[nodal.dead] = p[nodal.anchor]
-    return dict(zip(idx.names, p.tolist()))
+    p = np.concatenate((_lex_limit(c), [1.0, 0.0]))[_nodal_network(c).place]
+    return dict(zip(c._index.names, p.tolist()))

@@ -34,7 +34,8 @@ diagonal comes first, from one bincount of g A^2, and its power-of-two
 scaling is folded into the weights of the cell bincount, so the
 elimination itself never rescales.  A y_k within NOISE_MULT granules of
 the roundoff of its terms has no resolved slope; the Jacobian takes it at
-the edge of that band.
+the edge of that band, which also bounds a sublinear law's slope near
+zero drop, and the tolerances take it at the edge of one granule.
 
 The residual, Jacobian, objective and tolerances at one iterate share one
 evaluation of y, of the flows and of the scale of the terms of each y_k.
@@ -61,11 +62,6 @@ __all__ = ["BlockTridiagonal", "Network"]
 # and the exponent of its first law: that law sits at t = 1 / 8 or later,
 # so its start is never the limit at t = 0 itself.
 CONTINUATION_START = 8.0
-# Diagonal bump applied when a sublinear exponent meets a (numerically)
-# zero branch value, where the true slope diverges.  Needed for v**0.2 on
-# the tests' ring corpus draw 9 (64-160 nodes), which fails without it.
-SINGULAR_SLOPE_REG = 1e-9
-ZERO_DROP = 1e-12
 # Guards the tolerance-floor granule when every term forming y_k is 0.
 TINY_SCALE = 1e-300
 # Fewest unknowns in a level block: merged levels amortize numpy's
@@ -106,26 +102,16 @@ def _currents(f: Characteristic, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * mag
 
 
-def _slopes(f: Characteristic, y: np.ndarray) -> np.ndarray:
-    ay = np.abs(y)
-    out = np.zeros_like(ay)
-    for d, a in f.terms:
-        base = np.maximum(ay, ZERO_DROP) if a < 1.0 else ay
-        out += d * a * base ** (a - 1.0)
-    return out
+def _slopes(f: Characteristic, y: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Slopes f'(|y|), each taken no closer to the origin than ``floor``.
 
-
-def _floor_slopes(f: Characteristic, y: np.ndarray, granule: np.ndarray) -> np.ndarray:
-    """Slopes evaluated no closer to the origin than one representable step.
-
-    Feeds the per-equation tolerance floor: a sublinear law's value jumps
-    by about f(granule) when a near-zero y moves by one ulp of its terms,
-    which is far more than slope-at-the-clamp would suggest.
+    A y_k inside the roundoff band of forming it from its terms has no
+    resolved slope, and a sublinear law's slope diverges at zero drop; the
+    band's edge gives both the Jacobian's slope and the tolerances' floor.
     """
-    ay = np.abs(y)
-    out = np.zeros_like(ay)
+    base = np.maximum(np.abs(y), floor)
+    out = np.zeros_like(base)
     for d, a in f.terms:
-        base = np.maximum(ay, granule)
         out += d * a * base ** (a - 1.0)
     return out
 
@@ -311,29 +297,15 @@ class BlockTridiagonal:
     def diagonal(self) -> np.ndarray:
         return self.diag
 
-    def ridged(self, add) -> "BlockTridiagonal":
-        """A copy with ``add`` (scalar or per unknown) added to the diagonal."""
-        diag = self.diag + add
+    def ridged(self, factor: float) -> "BlockTridiagonal":
+        """A copy with its diagonal multiplied by 1 + ``factor``.
+
+        The stored diagonal is multiplied alike, so the copy keeps the
+        power-of-two ``scale``.
+        """
         cells = self.cells.copy()
-        if self.scale is None:
-            cells[self.layout.diagonal_cell] += add
-            return BlockTridiagonal(self.layout, cells, diag, None)
-        # rescale to the ridged diagonal's powers of two (an exact ratio),
-        # multiplying in turn where a product of factors could overflow
-        scale = _equilibration(diag)
-        ratio = scale / self.scale
-        out = BlockTridiagonal(self.layout, cells, diag, scale)
-        d, low = out._blocks()
-        r = [ratio[members] for members in self.layout.blocks]
-        for dk, rk in zip(d, r):
-            dk *= rk[:, None]
-            dk *= rk
-        for lk, r0, r1 in zip(low, r, r[1:]):
-            f, l = lk.shape
-            lk *= r1[:f, None]
-            lk *= r0[r0.size - l:]
-        cells[self.layout.diagonal_cell] = diag * scale * scale
-        return out
+        cells[self.layout.diagonal_cell] *= 1.0 + factor
+        return BlockTridiagonal(self.layout, cells, self.diag * (1.0 + factor), self.scale)
 
     def pinned(self, dead: np.ndarray) -> "BlockTridiagonal":
         """A copy whose ``dead`` rows and columns are those of the identity."""
@@ -549,7 +521,6 @@ class Network:
         w, s = self.w, self.s
         abs_s = np.abs(s)
         abs_tol = REL_TOL * f(1.0)
-        sublinear = f.min_exponent < 1.0
         last: list = [None, None]
 
         def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -567,10 +538,7 @@ class Network:
             # a y_k within the noise band of the roundoff of its terms has
             # no resolved slope; it is taken at the edge of that band
             y, _, scale = evaluate(x)
-            J = self.gram(w * _slopes(f, np.maximum(np.abs(y), NOISE_MULT * EPS * scale)))
-            if sublinear and np.any(np.abs(y) < ZERO_DROP):
-                J = J.ridged(SINGULAR_SLOPE_REG)
-            return J
+            return self.gram(w * _slopes(f, y, NOISE_MULT * EPS * scale))
 
         def objective(x: np.ndarray) -> float:
             return float((w * _integral(f, evaluate(x)[0])).sum())
@@ -581,7 +549,7 @@ class Network:
             # each y_k from its terms, a granule of EPS * scale
             y, flows, scale = evaluate(x)
             flow = self._transpose(np.abs(flows), self._abs_value)
-            slo = w * _floor_slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
+            slo = w * _slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
             floor = self._transpose(slo * scale, self._abs_value)
             return np.maximum(np.minimum(REL_TOL * flow, abs_tol),
                               NOISE_MULT * EPS * floor)

@@ -87,15 +87,14 @@ class _Nodal(NamedTuple):
     """A circuit's KCL network, and where its unknowns sit among the nodes.
 
     Nodes are codes into ``Circuit._index``: ``unknown`` per column, and
-    each ``dead`` node with the live or port node, its ``anchor``, whose
-    potential it takes.  ``live`` lists the live branch indices.
+    ``place[k]`` the column of node k among [unknowns..., a, b], a dead
+    node taking its anchor's, the live or port node whose potential it
+    takes.  ``live`` lists the live branch indices.
     """
 
     net: Network
-    internal: list[str]  # names of the unknowns, in column order
     unknown: np.ndarray
-    dead: np.ndarray
-    anchor: np.ndarray
+    place: np.ndarray
     live: np.ndarray
 
 
@@ -108,12 +107,8 @@ def _snap_equal_potentials(c: Circuit, nodal: _Nodal, x: np.ndarray) -> "np.ndar
     Equality is representable, so force it and let the caller re-verify.
     """
     idx, n = c._index, x.size
-    # positions in [unknowns..., a, b]
-    place = np.full(len(idx.names), -1)
-    place[nodal.unknown] = np.arange(n)
-    place[[idx.a, idx.b]] = n, n + 1
     values = np.concatenate((x, [1.0, 0.0]))
-    e1, e2 = place[idx.n1[nodal.live]], place[idx.n2[nodal.live]]
+    e1, e2 = nodal.place[idx.n1[nodal.live]], nodal.place[idx.n2[nodal.live]]
     p1, p2 = values[e1], values[e2]
     gap = np.abs(p1 - p2)
     close = (gap > 0.0) & (gap <= 1e3 * EPS * np.maximum(np.abs(p1), np.abs(p2)))
@@ -254,15 +249,17 @@ def _build_nodal(c: Circuit) -> _Nodal:
     internal[dead] = False
     unknown = np.flatnonzero(internal)
     n = unknown.size
-    # port endpoints fall in the network's ignored sentinel column n
-    column = np.full(len(idx.names), n)
-    column[unknown] = np.arange(n)
+    place = np.empty(len(idx.names), dtype=np.intp)
+    place[unknown] = np.arange(n)
+    place[idx.a], place[idx.b] = n, n + 1
+    place[dead] = place[anchor]
     n1, n2 = idx.n1[alive], idx.n2[alive]
-    cols = np.column_stack((column[n1], column[n2])).ravel()
+    # port endpoints fall in the network's ignored sentinel column n
+    cols = np.minimum(place[np.column_stack((n1, n2))], n).ravel()
     s = (n1 == idx.a) - (n2 == idx.a).astype(float)
     net = Network(n, np.repeat(np.arange(alive.size), 2), cols,
                   np.tile([1.0, -1.0], alive.size), s, idx.w[alive])
-    return _Nodal(net, [idx.names[k] for k in unknown.tolist()], unknown, dead, anchor, alive)
+    return _Nodal(net, unknown, place, alive)
 
 
 def _lex_limit(c: Circuit) -> np.ndarray:
@@ -283,13 +280,9 @@ def _build_lex_limit(c: Circuit) -> np.ndarray:
     nodal = _nodal_network(c)
     idx = c._index
     n = nodal.unknown.size
-    # nodes are the unknowns in column order, then a and b (n + 1 is also
-    # where dead nodes land, on no live branch); plain lists, since most
-    # circuits are small and each round walks them in Python
-    place = [n + 1] * len(idx.names)
-    for k, node in enumerate(nodal.unknown.tolist()):
-        place[node] = k
-    place[idx.a] = n
+    # nodes are the unknowns in column order, then a and b; plain lists,
+    # since most circuits are small and each round walks them in Python
+    place = nodal.place.tolist()
     adjacent: list[list[int]] = [[] for _ in range(n + 2)]
     n1, n2 = idx.n1.tolist(), idx.n2.tolist()
     for branch in nodal.live.tolist():
@@ -433,10 +426,7 @@ def _solve(c: Circuit, f: Characteristic, v_in: float, g: Characteristic, k: flo
     residual_sum = k * float(np.abs(outcome.residual).sum())
 
     idx = c._index
-    p = np.empty(len(idx.names))
-    p[idx.a], p[idx.b] = v_in, 0.0
-    p[nodal.unknown] = v_in * outcome.x
-    p[nodal.dead] = p[nodal.anchor]
+    p = v_in * np.concatenate((outcome.x, [1.0, 0.0]))[nodal.place]
     drop = p[idx.n1] - p[idx.n2]
     flow = idx.w * _currents(f, drop)  # from n1 to n2
 

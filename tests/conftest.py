@@ -28,6 +28,15 @@ def random_connected_circuit(rng: random.Random, max_internal: int = 6,
     return Circuit(tuple(branches), ("a", "b"))
 
 
+def small_multigraphs() -> list[Circuit]:
+    """200 seeded small multigraphs: the fuzz corpus of the nodal solver."""
+    rng = random.Random(5)
+    return [random_connected_circuit(rng, max_internal=8, max_extra=8) for _ in range(200)]
+
+
+SMALL_MULTIGRAPHS = small_multigraphs()
+
+
 def kcl_holds(c: Circuit, terms, potentials) -> bool:
     """Plain-Python KCL of ``potentials`` under the law sum of d * v**a over
     ``terms`` (d, a).
@@ -100,6 +109,13 @@ def random_ring_circuit(rng: random.Random, n_internal: int, max_chords: int) ->
     pairs = list(zip(ring, ring[1:] + ring[:1]))
     pairs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randint(0, max_chords))]
     return Circuit(tuple(Branch(u, v, rng.choice((1, 1, 2))) for u, v in pairs), ("a", "b"))
+
+
+def ring_corpus(draws: int) -> list[Circuit]:
+    """The first ``draws`` seeded ring multigraphs of 64-160 internal nodes."""
+    rng = random.Random(11)
+    return [random_ring_circuit(rng, rng.randint(64, 160), rng.randint(10, 60))
+            for _ in range(draws)]
 
 
 def short_cycle_basis(c: Circuit) -> tuple[Mesh, ...]:

@@ -19,7 +19,7 @@ from alphaport import (
 from conftest import (
     kcl_holds,
     random_connected_circuit,
-    random_ring_circuit,
+    ring_corpus,
     short_cycle_basis,
     square_grid,
 )
@@ -295,17 +295,13 @@ class TestDualRoute:
 
 # Seeded corpora on which the nodal route raises SolverError for some draws
 # (6 of the 40 ring draws at alpha = 0.5, 10 of the 300 multigraphs at 0.25)
-def _ring_corpus():
-    rng = random.Random(11)
-    return [random_ring_circuit(rng, rng.randint(64, 160), rng.randint(10, 60)) for _ in range(40)]
-
-
 def _multigraph_corpus():
     rng = random.Random(7)
     return [random_connected_circuit(rng, max_internal=8, max_extra=8) for _ in range(300)]
 
 
-@pytest.mark.parametrize("corpus,alpha", [(_ring_corpus, 0.5), (_multigraph_corpus, 0.25)],
+@pytest.mark.parametrize("corpus,alpha",
+                         [(lambda: ring_corpus(40), 0.5), (_multigraph_corpus, 0.25)],
                          ids=["ring-0.5", "multigraph-0.25"])
 def test_dual_route_solves_the_nodal_failure_corpora(corpus, alpha):
     for c in corpus():

@@ -14,7 +14,7 @@ import pytest
 
 from alphaport import Characteristic, alpha_solve, build_canonical, error_bound, report, solve_dc
 from alphaport.solver import _live_split
-from conftest import random_connected_circuit, square_grid
+from conftest import SMALL_MULTIGRAPHS, random_connected_circuit, square_grid
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -106,6 +106,18 @@ def test_solve_dc_matches_40_digit_newton(name, law):
     for v_in in (0.1, 1.0, 10.0):
         sol = solve_dc(c, Characteristic(LAWS[law]), v_in)
         potentials, i_in = mp_solve(c, LAWS[law], v_in, sol.potentials)
+        assert sol.input_current == pytest.approx(i_in, rel=REL)
+        for n, p in potentials.items():
+            assert sol.potentials[n] == pytest.approx(p, rel=REL, abs=REL * v_in), n
+
+
+def test_sublinear_multigraph_matches_40_digit_newton():
+    """A kink at zero drop: v**0.25 on a multigraph with near-equal potentials."""
+    c = SMALL_MULTIGRAPHS[6]
+    terms = ((1.0, 0.25),)
+    for v_in in (1e-3, 1.0, 1e3):
+        sol = solve_dc(c, Characteristic(terms), v_in)
+        potentials, i_in = mp_solve(c, terms, v_in, sol.potentials)
         assert sol.input_current == pytest.approx(i_in, rel=REL)
         for n, p in potentials.items():
             assert sol.potentials[n] == pytest.approx(p, rel=REL, abs=REL * v_in), n

@@ -144,6 +144,12 @@ def test_unit_drive_drops_a_term_that_underflows():
     assert k == 1e-6
 
 
+def nodal_unknowns(c):
+    """The nodal network of ``c`` and the names of its unknowns, in column order."""
+    nodal = _nodal_network(c)
+    return nodal.net, [c._index.names[k] for k in nodal.unknown.tolist()]
+
+
 def dense_matrix(net, g):
     """A^T diag(g) A assembled densely, entry pair by entry pair of each row of A."""
     J = np.zeros((net.n + 1, net.n + 1))
@@ -291,7 +297,7 @@ def dense_step(J, r):
 
 def test_pinned_and_ridged_step_matches_dense_step():
     c = square_grid(20)
-    net, internal = _nodal_network(c)[:2]
+    net, internal = nodal_unknowns(c)
     unknown = {name: i for i, name in enumerate(internal)}
     dead = unknown["g10_10"]  # every incident slope zero: pinned
     p, q = unknown["g5_5"], unknown["g5_6"]  # joined only to each other: singular
@@ -340,15 +346,15 @@ def test_step_pinned_at_block_boundaries_matches_dense_step(build):
     step, ref = _solve_step(J, r), dense_step(dense, r)
     assert np.all(step[pinned] == 0.0)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
-    # a per-unknown ridge moves the equilibration of the compact couplings
+    # a relative ridge scales the stored diagonal under the kept equilibration
     kept = J.pinned(pinned)
-    ridge = np.abs(kept.diagonal()) * 10.0 ** rng.uniform(-3.0, 1.0, net.n)
     dense[pinned, :] = 0.0
     dense[:, pinned] = 0.0
     dense[pinned, pinned] = 1.0
-    x = kept.ridged(ridge).solve(r)
-    ref = np.linalg.solve(dense + np.diag(ridge), r)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    for factor in (1e-14, 1e-3, 1.0):
+        x = kept.ridged(factor).solve(r)
+        ref = np.linalg.solve(dense + np.diag(np.diag(dense)) * factor, r)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def graded_grid20():
@@ -359,7 +365,7 @@ def graded_grid20():
     equilibrated matrix stays well conditioned; independent slopes over 300
     decades would leave it singular to working precision for any solver.
     """
-    net, internal = _nodal_network(square_grid(20))[:2]
+    net, internal = nodal_unknowns(square_grid(20))
     # steps from the driven corner; the port's sentinel column sits at 0
     dist = np.array([sum(map(int, name[1:].split("_"))) for name in internal] + [0])
     t = 10.0 ** (-150.0 * dist / dist.max())
@@ -385,7 +391,7 @@ def test_graded_ridged_solve_matches_dense_solve():
     dense = dense_matrix(net, g) + np.diag(J.diagonal() * 1e-14)
     s = equilibration(dense)
     r = rng.standard_normal(net.n) / s  # unit order in equilibrated coordinates
-    x = J.ridged(J.diagonal() * 1e-14).solve(r)
+    x = J.ridged(1e-14).solve(r)
     ref = s * np.linalg.solve(dense * s[:, None] * s, r * s)
     assert np.linalg.norm((x - ref) / s) <= 1e-12 * np.linalg.norm(ref / s)
 
