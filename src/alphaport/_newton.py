@@ -40,11 +40,13 @@ take each slope no closer to zero drop than the roundoff band of the
 drop, so the step stays finite, but the kinks still quantize the line
 search; a coordinate-descent polish of the remaining unconverged
 equations — exact one-dimensional bisections, immune to the kinks —
-finishes those off.  Sublinear laws can still defeat the whole cascade,
-and are then reported as solver errors: on a seeded corpus of 40 sparse
-ring multigraphs (README, Numerical notes) at drives 1e-3, 1 and 1e3,
-v**0.5 fails on 6 draws and v**0.25 on 23, at every drive, while v**0.2,
-v**0.3 and every superlinear law tried converge.
+finishes those off.  A caller whose outcome has not converged may run
+the whole cascade once more from its final iterate (network.py does).
+Sublinear laws can still defeat it, and are then reported as solver
+errors: on a seeded corpus of 40 sparse ring multigraphs (README,
+Numerical notes) at drives 1e-3, 1 and 1e3, v**0.5 fails on 5 draws (7,
+14, 22, 23, 35) and v**0.25 on 16, at every drive, while v**0.2, v**0.3
+and every one-term superlinear law tried converge.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ byte-identical; ``--meta`` adds a timestamp block separately.  Numbers are
 printed with 9 significant digits.  Exit codes: 0 success (including
 in-body diagnostic verdicts), 1 parse/validation/usage error, 2 solver
 failure.  The environment variable ALPHAPORT_MAX_ITERS overrides the
-Newton iteration cap of each continuation step (network.py).
+Newton iteration cap of each continuation step and of the one restart of
+an unconverged solve (network.py).
 """
 
 from __future__ import annotations

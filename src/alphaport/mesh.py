@@ -148,7 +148,8 @@ def _kvl_solve(net: Network, f: Characteristic, x0: np.ndarray | None = None) ->
     outcome = net.solve(f, x0)
     if not outcome.converged:
         raise SolverError(
-            f"KVL iteration did not converge (residual {outcome.residual_inf:.3e})")
+            f"KVL iteration did not converge in {outcome.iterations} iterations "
+            f"(residual {outcome.residual_inf:.3e})")
     return outcome
 
 

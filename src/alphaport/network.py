@@ -42,7 +42,9 @@ evaluation of y, of the flows and of the scale of the terms of each y_k.
 ``Network.solve`` is the one solve step of both descriptions, continuation
 in the exponent included: a predictor-corrector path in t = 1 / (smallest
 exponent) from the linear start at t = 1, anchored for nodal solves at
-t = 0 by the exponent -> infinity limit that the caller passes in.
+t = 0 by the exponent -> infinity limit that the caller passes in.  It is
+also where a stalled solve is handled, for both descriptions: a last law
+that has not converged is restarted once from its final iterate.
 """
 
 from __future__ import annotations
@@ -483,6 +485,9 @@ class Network:
         from ``unit_start`` and from the first law's solution, and each
         later law from the secant through the two laws solved before it.
         Only the last law's outcome is judged; its iterations are summed.
+        When it has not converged, damped Newton runs once more on that
+        law from its final iterate, under the same cap: a stalled damped
+        phase (sublinear kinks) often resumes from there.
         """
         laws = [f]
         solved: list[tuple[float, np.ndarray]] = []
@@ -495,6 +500,11 @@ class Network:
             while s < m:
                 laws.insert(-1, Characteristic(tuple((d, s * (a / m)) for d, a in f.terms)))
                 s *= 2.0
+
+        def newton(law: Characteristic, start: np.ndarray) -> NewtonOutcome:
+            return damped_newton(start, *self.equations(law), abs_tol=REL_TOL * law(1.0),
+                                 max_iters=max_iterations())
+
         anchor = solved[:1]
         iterations = 0
         for law in laws:
@@ -502,11 +512,13 @@ class Network:
             if len(solved) == 2:
                 (t_a, x_a), (t_b, x_b) = solved
                 x0 = x_b + (x_b - x_a) * ((t - t_b) / (t_b - t_a))
-            outcome = damped_newton(x0, *self.equations(law), abs_tol=REL_TOL * law(1.0),
-                                    max_iters=max_iterations())
+            outcome = newton(law, x0)
             iterations += outcome.iterations
             x0 = outcome.x
             solved = (anchor or solved[-1:]) + [(t, x0)]
+        if not outcome.converged:
+            outcome = newton(f, outcome.x)
+            iterations += outcome.iterations
         outcome.iterations = iterations
         return outcome
 

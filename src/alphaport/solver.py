@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import EPS, REL_TOL, max_iterations
+from ._newton import EPS, REL_TOL
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, _kept, _neighbours, _require_valid
 from .network import Network, _currents, _integral, _unit_drive
@@ -96,52 +96,6 @@ class _Nodal(NamedTuple):
     unknown: np.ndarray
     place: np.ndarray
     live: np.ndarray
-
-
-def _snap_equal_potentials(c: Circuit, nodal: _Nodal, x: np.ndarray) -> "np.ndarray | None":
-    """Collapse numerically-zero branch drops at unit drive to exact equality.
-
-    Symmetric topologies put pairs of nodes at identical potentials; the
-    iteration leaves them a few ulps apart, and for sublinear laws the
-    residual current |drop|**alpha of that gap is enormous relative to it.
-    Equality is representable, so force it and let the caller re-verify.
-    """
-    idx, n = c._index, x.size
-    values = np.concatenate((x, [1.0, 0.0]))
-    e1, e2 = nodal.place[idx.n1[nodal.live]], nodal.place[idx.n2[nodal.live]]
-    p1, p2 = values[e1], values[e2]
-    gap = np.abs(p1 - p2)
-    close = (gap > 0.0) & (gap <= 1e3 * EPS * np.maximum(np.abs(p1), np.abs(p2)))
-    if not np.any(close):
-        return None
-
-    parent: dict[int, int] = {}
-
-    def find(k: int) -> int:
-        parent.setdefault(k, k)
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for i, j in zip(e1[close].tolist(), e2[close].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    groups: dict[int, list[int]] = {}
-    for k in sorted(parent):
-        groups.setdefault(find(k), []).append(k)
-    level = values.tolist()
-    snapped = x.copy()
-    for members in groups.values():
-        anchored = [k for k in members if k >= n]
-        if len(anchored) > 1:
-            continue  # cannot short the port; leave the group alone
-        value = level[anchored[0]] if anchored else (
-            sum(level[k] for k in members) / len(members))
-        snapped[[k for k in members if k < n]] = value
-    return snapped
 
 
 def _live_split(c: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -415,12 +369,8 @@ def _solve(c: Circuit, f: Characteristic, v_in: float, g: Characteristic, k: flo
     anchored = x0 is None and g.min_exponent > 1.0
     outcome = net.solve(g, x0, _lex_limit(c) if anchored else None)
     if not outcome.converged:
-        snapped = _snap_equal_potentials(c, nodal, outcome.x)
-        if snapped is not None:
-            outcome = net.solve(g, snapped)
-    if not outcome.converged:
         raise SolverError(
-            f"KCL iteration did not converge within {max_iterations()} "
+            f"KCL iteration did not converge in {outcome.iterations} "
             f"iterations (residual {outcome.residual_inf:.3e}); "
             "valid circuits always converge, so check the inputs")
     residual_sum = k * float(np.abs(outcome.residual).sum())

@@ -99,28 +99,32 @@ def mp_root(c, terms, v_in, start):
     return p, i_in
 
 
+def assert_solve_dc_matches_40_digit_newton(c, terms, v_in):
+    sol = solve_dc(c, Characteristic(terms), v_in)
+    potentials, i_in = mp_solve(c, terms, v_in, sol.potentials)
+    assert sol.input_current == pytest.approx(i_in, rel=REL)
+    for n, p in potentials.items():
+        assert sol.potentials[n] == pytest.approx(p, rel=REL, abs=REL * v_in), n
+
+
 @pytest.mark.parametrize("law", list(LAWS))
 @pytest.mark.parametrize("name", list(CIRCUITS))
 def test_solve_dc_matches_40_digit_newton(name, law):
-    c = CIRCUITS[name]
     for v_in in (0.1, 1.0, 10.0):
-        sol = solve_dc(c, Characteristic(LAWS[law]), v_in)
-        potentials, i_in = mp_solve(c, LAWS[law], v_in, sol.potentials)
-        assert sol.input_current == pytest.approx(i_in, rel=REL)
-        for n, p in potentials.items():
-            assert sol.potentials[n] == pytest.approx(p, rel=REL, abs=REL * v_in), n
+        assert_solve_dc_matches_40_digit_newton(CIRCUITS[name], LAWS[law], v_in)
 
 
 def test_sublinear_multigraph_matches_40_digit_newton():
     """A kink at zero drop: v**0.25 on a multigraph with near-equal potentials."""
-    c = SMALL_MULTIGRAPHS[6]
-    terms = ((1.0, 0.25),)
     for v_in in (1e-3, 1.0, 1e3):
-        sol = solve_dc(c, Characteristic(terms), v_in)
-        potentials, i_in = mp_solve(c, terms, v_in, sol.potentials)
-        assert sol.input_current == pytest.approx(i_in, rel=REL)
-        for n, p in potentials.items():
-            assert sol.potentials[n] == pytest.approx(p, rel=REL, abs=REL * v_in), n
+        assert_solve_dc_matches_40_digit_newton(SMALL_MULTIGRAPHS[6], ((1.0, 0.25),), v_in)
+
+
+@pytest.mark.parametrize("draw,alpha", [(176, 0.25), (157, 0.5)])
+def test_restarted_sublinear_multigraph_matches_40_digit_newton(draw, alpha):
+    """These stall in the damped phase and raised SolverError until an
+    unconverged solve was restarted from its last iterate."""
+    assert_solve_dc_matches_40_digit_newton(SMALL_MULTIGRAPHS[draw], ((1.0, alpha),), 1.0)
 
 
 @pytest.mark.parametrize("name", list(CIRCUITS))

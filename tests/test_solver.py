@@ -315,23 +315,20 @@ class TestUnitDrive:
         assert [s.iterations for s in sols[1:]] == [0] * 6
 
 
-def test_equal_potential_snap_rescues_a_stalled_sublinear_solve(monkeypatch):
+def test_one_restart_rescues_a_stalled_sublinear_solve(monkeypatch):
     # v**0.25 on this draw stalls a few ulps from a pair of equal
-    # potentials; snapping them to equality and re-solving converges
-    import alphaport.solver as solver_module
-    snaps = []
-    snap = solver_module._snap_equal_potentials
+    # potentials; damped Newton run once more from that iterate converges
+    calls = []
+    newton = network.damped_newton
 
-    def recording(*args):
-        snapped = snap(*args)
-        snaps.append(snapped is not None)
-        return snapped
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return newton(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "_snap_equal_potentials", recording)
+    monkeypatch.setattr(network, "damped_newton", counting)
     c = SMALL_MULTIGRAPHS[157]
     sol = solve_dc(c, power_law(0.25), 1.0)
-    assert snaps == [True]
-    monkeypatch.setattr(solver_module, "_snap_equal_potentials", snap)
+    assert len(calls) == 2
     assert max_gap(c, sol.d, alpha_solve(c, 0.25).d) <= 1e-15
 
 
@@ -413,6 +410,16 @@ class TestExponentContinuation:
         assert laws[:3] == [(8.0,), (16.0,), (20.0,)]
         assert len(spent) == 3 and min(spent) > 0
         assert sol.iterations == sum(spent)
+
+    @pytest.mark.parametrize("case,calls", [("fig_a1", 1), ("grid-20", 4)])
+    def test_converged_solves_make_one_newton_call_per_law(self, monkeypatch, case, calls):
+        # the restart of Network.solve runs only on an unconverged outcome
+        starts, _ = record_starts(monkeypatch)
+        if case == "fig_a1":
+            solve_dc(FIG_A1, Characteristic(((1.0, 1.0), (1.0, 3.0))), 1.0)
+        else:
+            alpha_solve(square_grid(20), 64.0)  # laws 8, 16, 32, 64
+        assert len(starts) == calls
 
     def test_hardlimiter_profiles_on_ring_draws_solve_without_polish(self, monkeypatch):
         # plain doubling failed draws 31 and 36 at 64; a secant predictor
