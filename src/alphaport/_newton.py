@@ -40,10 +40,11 @@ take each slope no closer to zero drop than the roundoff band of the
 drop, so the step stays finite, but the kinks still quantize the line
 search; a coordinate-descent polish of the remaining unconverged
 equations — exact one-dimensional bisections, immune to the kinks —
-finishes those off.  A caller whose outcome has not converged may run
-the whole cascade once more from its final iterate (network.py does).
-Sublinear laws can still defeat it, and are then reported as solver
-errors: on a seeded corpus of 40 sparse ring multigraphs (README,
+finishes those off.  ``damped_newton`` itself only reports whether it
+converged; ``Network.solve`` (network.py) runs the whole cascade once
+more from the final iterate of an unconverged solve, and raises
+``SolverError`` when that has not converged either.  Sublinear laws can
+still defeat it: on a seeded corpus of 40 sparse ring multigraphs (README,
 Numerical notes) at drives 1e-3, 1 and 1e3, v**0.5 fails on 5 draws (7,
 14, 22, 23, 35) and v**0.25 on 16, at every drive, while v**0.2, v**0.3
 and every one-term superlinear law tried converge.

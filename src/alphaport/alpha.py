@@ -25,7 +25,9 @@ sublinear resistive law) fails on circuits the nodal route solves.
 Both routes read networks kept on the circuit: the nodal network, the
 loop network of the declared basis and the loop route's spanning tree are
 built on a circuit's first profile and shared by every later one.
-Profiles themselves are solved on every call.
+Profiles themselves are solved on every call, each by ``Network.solve``,
+which raises ``SolverError`` ("KCL ..." or "KVL iteration did not
+converge ...") for a profile that does not converge.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import numpy as np
 
 from .characteristic import Characteristic
 from .circuit import Circuit, _kept, _neighbours
-from .mesh import _kvl_solve, _loop_network
-from .network import _currents
+from .mesh import _loop_network
 from .solver import _chain, _lex_limit, _nodal_network
 
 __all__ = [
@@ -123,8 +124,8 @@ def _dual_profiles(c: Circuit, alphas: list[float]) -> list[AlphaProfile]:
     x = None
     for a in reversed(alphas):
         f = Characteristic(((1.0, 1.0 / a),))
-        x = _kvl_solve(net, f, x).x
-        volts = _currents(f, net.values(x)).tolist()  # p(n1) - p(n2)
+        x = net.solve(f, x).x
+        volts = f.values(net.values(x)).tolist()  # p(n1) - p(n2)
         p = [0.0] * len(idx.names)
         for node, parent, branch, sign in tree:
             p[node] = p[parent] + sign * volts[branch]

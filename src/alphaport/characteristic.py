@@ -6,15 +6,21 @@ the element passive and strictly monotone on v >= 0, which is what
 guarantees a unique DC solution of the whole network.
 
 The public contract works on nonnegative voltages (the solver orients
-every branch so its drop is nonnegative).  A signed odd extension
-``sign(v) * f(|v|)`` is provided for solver internals only; it is not a
-separate characteristic type.
+every branch so its drop is nonnegative).  The solvers evaluate the law on
+arrays of signed drops through ``values``, ``slopes`` and ``integral``:
+the odd extension ``sign(v) * f(|v|)``, its slope and its integral.
+``eval_signed`` is that extension's scalar form; it is not a separate
+characteristic type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .roots import bisect_newton, expand_bracket
 
 __all__ = [
     "Characteristic",
@@ -26,9 +32,6 @@ __all__ = [
 # Exponents closer than this are treated as the same power and their
 # coefficients summed (float-parsed netlists can carry 1.0 vs 0.9999999999995).
 EXPONENT_MERGE_TOL = 1e-12
-
-# Target for invert(): |eval(v) - i| <= INVERT_TOL * max(1, i).
-INVERT_TOL = 1e-13
 
 
 def _normalize(terms) -> tuple[tuple[float, float], ...]:
@@ -57,13 +60,18 @@ class Characteristic:
     ``terms`` is any iterable of (coefficient, exponent) pairs; it is
     normalized on construction: sorted by ascending exponent, duplicate
     exponents merged by summing coefficients, everything validated to be
-    positive.  Instances are immutable and safe to share.
+    positive.  Instances are immutable and safe to share.  The array
+    forms of the terms are built once, on construction; equality and
+    hashing see ``terms`` only.
     """
 
     terms: tuple[tuple[float, float], ...] = field()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _normalize(self.terms))
+        terms = _normalize(self.terms)
+        # frozen, so set past __setattr__; the arrays are not fields
+        self.__dict__.update(terms=terms, _coef=np.array([d for d, _ in terms]),
+                             _expo=np.array([a for _, a in terms]))
 
     @property
     def exponents(self) -> tuple[float, ...]:
@@ -98,9 +106,9 @@ class Characteristic:
     def invert(self, i: float) -> float:
         """The unique v >= 0 with f(v) = i, for i >= 0.
 
-        Single-term laws invert in closed form; otherwise an expanding
-        bracket plus bisection/Newton drives |f(v) - i| below
-        ``INVERT_TOL * max(1, i)``.
+        Single-term laws invert in closed form; otherwise the root is
+        bracketed from above, bisected to a relative width of 1e-15 and
+        polished by Newton steps (``roots.bisect_newton``).
         """
         if i < 0.0:
             raise ValueError(f"current must be nonnegative, got {i}")
@@ -116,33 +124,43 @@ class Characteristic:
         log_hi = min((log_i - math.log(d)) / a for d, a in self.terms)
         if log_hi > 700.0:
             raise ValueError(f"current {i} is outside the invertible double range")
-        hi = math.exp(log_hi) * (1.0 + 1e-9)
-        while self(hi) < i:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < i:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        v = 0.5 * (lo + hi)
-        tol = INVERT_TOL * max(1.0, i)
-        for _ in range(8):
-            r = self(v) - i
-            if abs(r) <= tol:
-                break
-            step = r / self.slope(max(v, 1e-300))
-            v = min(max(v - step, lo), hi)
-        return v
+
+        def gap(v: float) -> float:
+            return self(v) - i
+
+        lo, hi = expand_bracket(gap, 0.0, math.exp(log_hi) * (1.0 + 1e-9))
+        return bisect_newton(gap, self.slope, lo, hi, bisect_tol=1e-15, newton_steps=8)
 
     def eval_signed(self, v: float) -> float:
-        """Odd extension sign(v) * f(|v|), used while iterating on raw drops."""
+        """Odd extension sign(v) * f(|v|) at one signed drop; ``values`` is
+        its array form."""
         if v >= 0.0:
             return self(v)
         return -self(-v)
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        """Odd extension sign(y) * f(|y|), vectorized over branches."""
+        ay = np.abs(y)
+        return np.sign(y) * (self._coef * ay[:, None] ** self._expo).sum(axis=1)
+
+    def slopes(self, y: np.ndarray, floor: np.ndarray | float) -> np.ndarray:
+        """Slopes f'(|y|), each taken no closer to the origin than ``floor``.
+
+        A y_k inside the roundoff band of forming it from its terms has no
+        resolved slope, and a sublinear law's slope diverges at zero drop;
+        the band's edge gives both the Jacobian's slope and the tolerances'
+        floor.
+        """
+        base = np.maximum(np.abs(y), floor)
+        out = np.zeros_like(base)
+        for d, a in self.terms:
+            out += d * a * base ** (a - 1.0)
+        return out
+
+    def integral(self, y: np.ndarray) -> np.ndarray:
+        """Integrals of f from 0 to |y|, vectorized over branches."""
+        coef, expo = self._coef, self._expo
+        return (coef / (expo + 1.0) * np.abs(y)[:, None] ** (expo + 1.0)).sum(axis=1)
 
     def antiderivative(self, v: float) -> float:
         """Integral of f from 0 to |v| (per-conductor co-content)."""

@@ -75,8 +75,7 @@ def lambda_root(alpha: float) -> float:
 
 def ladder_phi(alpha: float) -> float:
     """Input coefficient phi(alpha) of the infinite ladder."""
-    lam = lambda_root(alpha)
-    return ((lam - 1.0) / (2.0 * lam)) ** alpha
+    return ladder_fixed_point(alpha).phi
 
 
 def ladder_fixed_point(alpha: float, central: bool = False) -> LadderResult:

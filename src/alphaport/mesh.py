@@ -23,12 +23,13 @@ and its network kept on the circuit (``_loop_network``), so repeated
 solves and profiles on it share one network; a basis passed to
 ``mesh_solve`` is built and checked on every call.
 
-``mesh_solve`` and the alpha-test share one loop-solve step
-(``_kvl_solve``): a circuit that declares a basis has its conductance
-profiles below exponent 1 solved here under the resistive law
-i**(1/alpha), which is smooth where the conductance law has a kink (see
-alpha.py).  ``mesh_solve`` itself solves the law it is given.  Both
-continue a cold solve in the exponent as every ``Network.solve`` does.
+``mesh_solve`` and the alpha-test share the loop network: a circuit that
+declares a basis has its conductance profiles below exponent 1 solved on
+it under the resistive law i**(1/alpha), which is smooth where the
+conductance law has a kink (see alpha.py).  ``mesh_solve`` itself solves
+the law it is given.  Both call ``Network.solve``, which continues a cold
+solve in the exponent and raises ``SolverError`` ("KVL iteration did not
+converge ...") when the solve does not converge.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._newton import EPS, NewtonOutcome
+from ._newton import EPS
 from .characteristic import Characteristic
 from .circuit import Circuit, Mesh, _kept, _require_valid
 from .network import Network, _unit_drive
-from .solver import SolverError
 
 __all__ = [
     "MeshSolution",
@@ -128,7 +128,7 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh] | None = None) -> tuple[Netw
     loop = ~src
     entries, entry = np.unique(rows[loop] * (n + 1) + cols[loop], return_inverse=True)
     lrows, lcols = np.divmod(entries, n + 1)
-    net = Network(n, lrows, lcols, np.bincount(entry, signs[loop]) / w[lrows], s, w)
+    net = Network(n, lrows, lcols, np.bincount(entry, signs[loop]) / w[lrows], s, w, "KVL")
     # the loops are independent iff the linear-start Gram matrix is
     # positive definite; a dependent set leaves a pivot at roundoff level
     gram = net.gram(net.w)
@@ -139,18 +139,6 @@ def _loop_network(c: Circuit, basis: Sequence[Mesh] | None = None) -> tuple[Netw
     if not independent:
         raise ValueError("invalid mesh basis: the loops are not independent")
     return net, [m.name for m in unknowns]
-
-
-def _kvl_solve(net: Network, f: Characteristic, x0: np.ndarray | None = None) -> NewtonOutcome:
-    """The unit-current loop-solve step of ``mesh_solve`` and of the dual
-    profiles in alpha.py: ``net.solve``, raising ``SolverError`` when it
-    does not converge."""
-    outcome = net.solve(f, x0)
-    if not outcome.converged:
-        raise SolverError(
-            f"KVL iteration did not converge in {outcome.iterations} iterations "
-            f"(residual {outcome.residual_inf:.3e})")
-    return outcome
 
 
 def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
@@ -167,7 +155,7 @@ def mesh_solve(c: Circuit, f_resistive: Characteristic, i_in: float,
     if not (c.meshes if basis is None else basis):
         raise ValueError("no mesh basis: pass one or use a circuit with .mesh sections")
     net, names = _loop_network(c, basis)
-    outcome = _kvl_solve(net, g)
+    outcome = net.solve(g)
 
     # s . w f(y) = source . f(y): the element voltages around the source loop
     v_in = k * float(net.s @ net.flows(g, outcome.x))

@@ -7,7 +7,9 @@ Millar's content/co-content duality).  Nodal: x are the internal node
 potentials, A the signed incidence of the live branches over them, s marks
 the branches at the driven terminal, u = v_in, y the branch drops.  Loop:
 x are the loop currents, A = diag(1/w) L for the loop matrix L,
-s = source / w, u = i_in, y the per-element currents.
+s = source / w, u = i_in, y the per-element currents.  The law is the
+``Characteristic`` passed in, evaluated on all branches at once by its
+array methods: ``values`` (f), ``slopes`` (f') and ``integral`` (F).
 
 A ``Network`` solves only at unit drive: drive u of law f is the unit
 drive of g(t) = f(u t) / k, k = min(1, f(u)) (``_unit_drive``), whose
@@ -43,8 +45,10 @@ evaluation of y, of the flows and of the scale of the terms of each y_k.
 in the exponent included: a predictor-corrector path in t = 1 / (smallest
 exponent) from the linear start at t = 1, anchored for nodal solves at
 t = 0 by the exponent -> infinity limit that the caller passes in.  It is
-also where a stalled solve is handled, for both descriptions: a last law
-that has not converged is restarted once from its final iterate.
+also where a solve is judged, for both descriptions: a last law that has
+not converged is restarted once from its final iterate, and when that has
+not converged either it raises ``SolverError``, named "KCL" or "KVL" after
+the network's equations.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 from ._newton import EPS, NOISE_MULT, REL_TOL, TINY, NewtonOutcome, damped_newton, max_iterations
 from .characteristic import Characteristic
 
-__all__ = ["BlockTridiagonal", "Network"]
+__all__ = ["BlockTridiagonal", "Network", "SolverError"]
 
 # Smallest exponent above which a cold solve is continued (Network.solve),
 # and the exponent of its first law: that law sits at t = 1 / 8 or later,
@@ -69,6 +73,10 @@ TINY_SCALE = 1e-300
 # Fewest unknowns in a level block: merged levels amortize numpy's
 # per-call cost on each block's dense solve.
 MIN_BLOCK = 32
+
+
+class SolverError(RuntimeError):
+    """A solve whose last law did not meet its tolerances, restart included."""
 
 
 def _unit_drive(f: Characteristic, u: float, name: str) -> tuple[Characteristic, float]:
@@ -93,37 +101,6 @@ def _unit_drive(f: Characteristic, u: float, name: str) -> tuple[Characteristic,
                          f"{scale:.3g}, is below what the solver resolves")
     k = min(1.0, scale)
     return Characteristic(tuple((c / k, a) for c, a in at_u if c > 0.0)), k
-
-
-def _currents(f: Characteristic, y: np.ndarray) -> np.ndarray:
-    """Odd extension sign(y) * f(|y|), vectorized over branches."""
-    coef = np.array(f.coefficients)
-    expo = np.array(f.exponents)
-    ay = np.abs(y)
-    mag = (coef[None, :] * ay[:, None] ** expo[None, :]).sum(axis=1)
-    return np.sign(y) * mag
-
-
-def _slopes(f: Characteristic, y: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Slopes f'(|y|), each taken no closer to the origin than ``floor``.
-
-    A y_k inside the roundoff band of forming it from its terms has no
-    resolved slope, and a sublinear law's slope diverges at zero drop; the
-    band's edge gives both the Jacobian's slope and the tolerances' floor.
-    """
-    base = np.maximum(np.abs(y), floor)
-    out = np.zeros_like(base)
-    for d, a in f.terms:
-        out += d * a * base ** (a - 1.0)
-    return out
-
-
-def _integral(f: Characteristic, y: np.ndarray) -> np.ndarray:
-    coef = np.array(f.coefficients)
-    expo = np.array(f.exponents)
-    ay = np.abs(y)
-    return (coef[None, :] / (expo[None, :] + 1.0)
-            * ay[:, None] ** (expo[None, :] + 1.0)).sum(axis=1)
 
 
 def _neighbours(n: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,13 +375,15 @@ class Network:
     ``vals``), at most one per row and column below n; entries in column n
     are ignored.  ``s`` and ``w`` have one entry per branch.  ``blocks``
     lists the unknowns of each level block, in elimination order.
+    ``name`` ("KCL" or "KVL") names the equations in a ``SolverError``.
     """
 
-    def __init__(self, n: int, rows, cols, vals, s, w):
+    def __init__(self, n: int, rows, cols, vals, s, w, name: str):
         rows = np.asarray(rows, dtype=np.intp)
         order = np.argsort(rows, kind="stable")
         rows = rows[order]
         self.n = n
+        self.name = name
         self.s = np.asarray(s, dtype=float)
         self.w = np.asarray(w, dtype=float)
         n_br = self.w.size
@@ -458,7 +437,7 @@ class Network:
 
     def flows(self, f: Characteristic, x: np.ndarray) -> np.ndarray:
         """w f(y): branch currents (nodal) or w times element voltages (loop)."""
-        return self.w * _currents(f, self.values(x))
+        return self.w * f.values(self.values(x))
 
     @cached_property
     def unit_start(self) -> np.ndarray:
@@ -487,7 +466,8 @@ class Network:
         Only the last law's outcome is judged; its iterations are summed.
         When it has not converged, damped Newton runs once more on that
         law from its final iterate, under the same cap: a stalled damped
-        phase (sublinear kinks) often resumes from there.
+        phase (sublinear kinks) often resumes from there.  Raises
+        ``SolverError`` when that restart has not converged either.
         """
         laws = [f]
         solved: list[tuple[float, np.ndarray]] = []
@@ -519,6 +499,10 @@ class Network:
         if not outcome.converged:
             outcome = newton(f, outcome.x)
             iterations += outcome.iterations
+            if not outcome.converged:
+                raise SolverError(
+                    f"{self.name} iteration did not converge in {iterations} "
+                    f"iterations (residual {outcome.residual_inf:.3e})")
         outcome.iterations = iterations
         return outcome
 
@@ -540,7 +524,7 @@ class Network:
                 terms = self._terms(x)
                 y = terms.sum(axis=1) + s
                 scale = np.maximum(np.abs(terms).max(axis=1), abs_s)
-                last[0], last[1] = x.copy(), (y, w * _currents(f, y), scale)
+                last[0], last[1] = x.copy(), (y, w * f.values(y), scale)
             return last[1]
 
         def residual(x: np.ndarray) -> np.ndarray:
@@ -550,10 +534,10 @@ class Network:
             # a y_k within the noise band of the roundoff of its terms has
             # no resolved slope; it is taken at the edge of that band
             y, _, scale = evaluate(x)
-            return self.gram(w * _slopes(f, y, NOISE_MULT * EPS * scale))
+            return self.gram(w * f.slopes(y, NOISE_MULT * EPS * scale))
 
         def objective(x: np.ndarray) -> float:
-            return float((w * _integral(f, evaluate(x)[0])).sum())
+            return float((w * f.integral(evaluate(x)[0])).sum())
 
         def tolerances(x: np.ndarray) -> np.ndarray:
             # relative share of the local flow (capped at the flat
@@ -561,7 +545,7 @@ class Network:
             # each y_k from its terms, a granule of EPS * scale
             y, flows, scale = evaluate(x)
             flow = self._transpose(np.abs(flows), self._abs_value)
-            slo = w * _slopes(f, y, EPS * np.maximum(scale, TINY_SCALE))
+            slo = w * f.slopes(y, EPS * np.maximum(scale, TINY_SCALE))
             floor = self._transpose(slo * scale, self._abs_value)
             return np.maximum(np.minimum(REL_TOL * flow, abs_tol),
                               NOISE_MULT * EPS * floor)

@@ -23,7 +23,8 @@ def expand_bracket(fn, lo: float, hi: float, factor: float = 2.0,
 
 def bisect_newton(fn, dfn, lo: float, hi: float, bisect_tol: float = 1e-13,
                   newton_steps: int = 2) -> float:
-    """Root of fn in [lo, hi]: bisection to ``bisect_tol``, then Newton polish.
+    """Root of fn in [lo, hi]: bisection to a bracket narrower than
+    ``bisect_tol`` times its midpoint, then Newton polish.
 
     Requires a sign change over the bracket.  The Newton steps are clipped
     to the bracket, so the polish can only improve the bisection answer.
@@ -47,7 +48,7 @@ def bisect_newton(fn, dfn, lo: float, hi: float, bisect_tol: float = 1e-13,
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-        if hi - lo <= bisect_tol * max(1.0, abs(mid)):
+        if hi - lo <= bisect_tol * abs(mid):
             break
 
     x = 0.5 * (lo + hi)

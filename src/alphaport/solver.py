@@ -7,7 +7,8 @@ internal nodes and s their incidence on the driven terminal, solved at
 unit drive and scaled back (see network.py).  Damped Newton solves it,
 safeguarded by a line search on the co-content (the per-branch integral
 of the conductor law), which is strictly convex in x, so the solution
-exists, is unique and is always found.
+exists and is unique; a solve that does not converge raises
+``SolverError`` (``Network.solve``).
 
 Branches that lie on no path between the input terminals carry no current;
 they are trimmed before the iteration (see _live_split) and their nodes
@@ -42,7 +43,7 @@ import numpy as np
 from ._newton import EPS, REL_TOL
 from .characteristic import Characteristic
 from .circuit import Branch, Circuit, _kept, _neighbours, _require_valid
-from .network import Network, _currents, _integral, _unit_drive
+from .network import Network, SolverError, _unit_drive
 
 __all__ = [
     "SolverError",
@@ -52,10 +53,6 @@ __all__ = [
     "port_current_sum",
     "co_content",
 ]
-
-class SolverError(RuntimeError):
-    """Newton failed to meet tolerance; for valid inputs this is a bug signal."""
-
 
 @dataclass(frozen=True)
 class DcSolution:
@@ -212,7 +209,7 @@ def _build_nodal(c: Circuit) -> _Nodal:
     cols = np.minimum(place[np.column_stack((n1, n2))], n).ravel()
     s = (n1 == idx.a) - (n2 == idx.a).astype(float)
     net = Network(n, np.repeat(np.arange(alive.size), 2), cols,
-                  np.tile([1.0, -1.0], alive.size), s, idx.w[alive])
+                  np.tile([1.0, -1.0], alive.size), s, idx.w[alive], "KCL")
     return _Nodal(net, unknown, place, alive)
 
 
@@ -368,17 +365,12 @@ def _solve(c: Circuit, f: Characteristic, v_in: float, g: Characteristic, k: flo
     net = nodal.net
     anchored = x0 is None and g.min_exponent > 1.0
     outcome = net.solve(g, x0, _lex_limit(c) if anchored else None)
-    if not outcome.converged:
-        raise SolverError(
-            f"KCL iteration did not converge in {outcome.iterations} "
-            f"iterations (residual {outcome.residual_inf:.3e}); "
-            "valid circuits always converge, so check the inputs")
     residual_sum = k * float(np.abs(outcome.residual).sum())
 
     idx = c._index
     p = v_in * np.concatenate((outcome.x, [1.0, 0.0]))[nodal.place]
     drop = p[idx.n1] - p[idx.n2]
-    flow = idx.w * _currents(f, drop)  # from n1 to n2
+    flow = idx.w * f.values(drop)  # from n1 to n2
 
     i_b = _inflow(idx, flow, idx.b)
     i_a = -_inflow(idx, flow, idx.a)  # outflow at the driven terminal
@@ -433,7 +425,7 @@ def port_current_sum(c: Circuit, f: Characteristic, potentials, node: str) -> fl
         raise ValueError(f"node {node!r} is not in the circuit")
     idx = c._index
     p = _node_potentials(c, potentials)
-    flow = idx.w * _currents(f, p[idx.n1] - p[idx.n2])
+    flow = idx.w * f.values(p[idx.n1] - p[idx.n2])
     return _inflow(idx, flow, idx.names.index(node))
 
 
@@ -446,4 +438,4 @@ def co_content(c: Circuit, f: Characteristic, potentials) -> float:
     """
     idx = c._index
     p = _node_potentials(c, potentials)
-    return float(idx.w @ _integral(f, p[idx.n1] - p[idx.n2]))
+    return float(idx.w @ f.integral(p[idx.n1] - p[idx.n2]))

@@ -8,6 +8,7 @@ import alphaport.alpha as alpha_module
 from alphaport import (
     Characteristic,
     Circuit,
+    SolverError,
     alpha_solve,
     build_canonical,
     d_sweep,
@@ -291,6 +292,11 @@ class TestDualRoute:
         with pytest.raises(ValueError, match="invalid mesh basis"):
             alpha_solve(broken, 0.5)
         assert alpha_solve(broken, 2.0) == alpha_solve(FIG_A1, 2.0)
+
+    def test_exhausted_iteration_budget_is_reported(self, monkeypatch):
+        monkeypatch.setenv("ALPHAPORT_MAX_ITERS", "1")
+        with pytest.raises(SolverError, match="KVL iteration did not converge"):
+            alpha_solve(build_canonical("fig_b1"), 0.3)
 
 
 # Seeded corpora on which the nodal route raises SolverError for some draws

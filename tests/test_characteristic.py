@@ -1,5 +1,7 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,3 +166,22 @@ def test_scaled_multiplies_coefficients():
     f = CUBE_LAW.scaled(2.0)
     assert f.coefficients == (2.0, 2.0)
     assert f.exponents == CUBE_LAW.exponents
+
+
+@given(terms_strategy(), st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5))
+def test_array_methods_match_scalar_forms(terms, vs):
+    f = Characteristic(tuple(terms))
+    y = np.array(vs)
+    for array, scalar in ((f.values(y), f.eval_signed), (f.slopes(y, 0.0), f.slope),
+                          (f.integral(y), f.antiderivative)):
+        assert array.tolist() == pytest.approx([scalar(v) for v in vs], rel=1e-15, abs=0.0)
+
+
+def test_identity_depends_on_terms_only():
+    f = Characteristic(((1.0, 3.0), (1.0, 1.0)))
+    g = parse_characteristic("1:1,1:3")
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert f != CUBE_LAW.scaled(2.0)
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+    assert copy.values(np.array([-0.5, 2.0])).tolist() == f.values(np.array([-0.5, 2.0])).tolist()
